@@ -63,7 +63,7 @@ int main() {
                         const Dict& cmd = args[1].as_dict();
                         List scaled;
                         for (const Value& v : cmd.at("args").as_list()) {
-                            scaled.push_back(Value{v.as_real() * kScale});
+                            scaled.emplace_back(v.as_real() * kScale);
                         }
                         hall.rpc().call_async(replica, "drawing",
                                               cmd.at("method").as_str(), scaled,

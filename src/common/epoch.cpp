@@ -6,13 +6,16 @@
 
 namespace pmp {
 
+struct EpochDomain::Slot {
+    std::atomic<std::uint64_t> local{0};
+    std::atomic<bool> active{false};
+};
+
 namespace {
-// Set while a Participant lives on this thread: ReadGuard no-ops (the
-// epoch protocol covers the thread) and quiescent() knows its slot.
-thread_local EpochDomain::Participant* tl_participant = nullptr;
-// Guard nesting depth for unregistered threads; only the 0 <-> 1
-// transitions touch the shared counter.
-thread_local int tl_guard_depth = 0;
+// Enrollment refcount on this thread, and the participant the first
+// enrolment registered (nullptr when the thread already had one).
+thread_local int tl_enrollments = 0;
+thread_local EpochDomain::Participant* tl_enrolled = nullptr;
 
 struct EpochMetrics {
     obs::Counter& retired = obs::Registry::global().counter("rt.epoch.retired");
@@ -34,6 +37,7 @@ EpochDomain::~EpochDomain() {
     {
         std::lock_guard<std::mutex> lock(mu_);
         left.swap(retired_);
+        pending_.store(0, std::memory_order_relaxed);
     }
     for (auto& r : left) r.reclaim();
     std::lock_guard<std::mutex> lock(mu_);
@@ -47,67 +51,91 @@ EpochDomain& EpochDomain::global() {
 
 // ---------------------------------------------------------- Participant ----
 
-EpochDomain::Participant::Participant(EpochDomain& domain) : domain_(domain) {
-    slot_ = domain_.register_participant();
-    tl_participant = this;
+EpochDomain::Participant::Participant(EpochDomain& domain)
+    : domain_(domain), slot_(domain.register_participant()) {
+    if (&domain_ == &EpochDomain::global()) {
+        prev_ = tl_.participant;
+        tl_.participant = this;
+    }
 }
 
 EpochDomain::Participant::~Participant() {
-    tl_participant = nullptr;
+    if (tl_.participant == this) {
+        tl_.participant = prev_;
+        if (tl_.participant == nullptr && tl_.depth > 0 && !tl_.pinned) {
+            // Leaving the domain mid-dispatch (a simulator destroyed from
+            // inside advice): the enclosing guards still walk a table, so
+            // hand them over to the shared guard count.
+            pin();
+        }
+    }
     domain_.unregister_participant(slot_);
     domain_.reap();
 }
 
+void EpochDomain::Participant::announce() {
+    slot_->local.store(domain_.epoch_.load(std::memory_order_seq_cst),
+                       std::memory_order_seq_cst);
+}
+
 void EpochDomain::Participant::quiescent() {
-    Slot* s;
-    {
-        std::lock_guard<std::mutex> lock(domain_.mu_);
-        s = domain_.slots_[slot_];
-    }
-    s->local.store(domain_.epoch_.load(), std::memory_order_seq_cst);
+    if (tl_.participant == this && tl_.depth > 0) return;  // mid-dispatch
+    announce();
     domain_.reap();
 }
 
-std::size_t EpochDomain::register_participant() {
+EpochDomain::Slot* EpochDomain::register_participant() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i]->active.load(std::memory_order_relaxed)) {
-            slots_[i]->active.store(true, std::memory_order_relaxed);
-            slots_[i]->local.store(epoch_.load(), std::memory_order_seq_cst);
-            return i;
+    Slot* s = nullptr;
+    for (Slot* candidate : slots_) {
+        if (!candidate->active.load(std::memory_order_relaxed)) {
+            s = candidate;
+            break;
         }
     }
-    Slot* s = new Slot();
+    if (s == nullptr) {
+        s = new Slot();
+        slots_.push_back(s);
+    }
     s->active.store(true, std::memory_order_relaxed);
     s->local.store(epoch_.load(), std::memory_order_seq_cst);
-    slots_.push_back(s);
-    return slots_.size() - 1;
+    return s;
 }
 
-void EpochDomain::unregister_participant(std::size_t slot) {
+void EpochDomain::unregister_participant(Slot* slot) {
     std::lock_guard<std::mutex> lock(mu_);
-    slots_[slot]->active.store(false, std::memory_order_relaxed);
+    slot->active.store(false, std::memory_order_relaxed);
+}
+
+// ----------------------------------------------------------- Enrollment ----
+
+EpochDomain::Enrollment::Enrollment() {
+    if (tl_enrollments++ == 0 && tl_.participant == nullptr) {
+        tl_enrolled = new Participant(EpochDomain::global());
+    }
+}
+
+EpochDomain::Enrollment::~Enrollment() {
+    if (--tl_enrollments == 0 && tl_enrolled != nullptr) {
+        delete tl_enrolled;
+        tl_enrolled = nullptr;
+    }
 }
 
 // ------------------------------------------------------------ ReadGuard ----
 
-EpochDomain::ReadGuard::ReadGuard() : pinned_(nullptr) {
-    if (tl_participant != nullptr) return;  // epoch-covered thread
-    if (tl_guard_depth++ == 0) {
-        pinned_ = &EpochDomain::global();
-        pinned_->guards_.fetch_add(1, std::memory_order_seq_cst);
-    }
+void EpochDomain::pin() {
+    global().guards_.fetch_add(1, std::memory_order_seq_cst);
+    tl_.pinned = true;
 }
 
-EpochDomain::ReadGuard::~ReadGuard() {
-    if (tl_participant != nullptr) return;
-    --tl_guard_depth;
-    // Only the guard that did the 0 -> 1 transition releases (guards are
-    // strictly nested, so it is also the last one out).
-    if (pinned_ != nullptr) {
-        pinned_->guards_.fetch_sub(1, std::memory_order_seq_cst);
-        pinned_->reap();
+void EpochDomain::release() {
+    // Only the outermost guard gets here (guards are strictly nested).
+    if (tl_.pinned) {
+        tl_.pinned = false;
+        global().guards_.fetch_sub(1, std::memory_order_seq_cst);
     }
+    global().reap();
 }
 
 // --------------------------------------------------------------- domain ----
@@ -119,6 +147,7 @@ void EpochDomain::retire(std::function<void()> reclaim) {
     {
         std::lock_guard<std::mutex> lock(mu_);
         retired_.push_back(Retired{e, std::move(reclaim)});
+        pending_.store(retired_.size(), std::memory_order_seq_cst);
     }
     retired_total_.fetch_add(1, std::memory_order_relaxed);
     epoch_metrics().retired.inc();
@@ -127,15 +156,19 @@ void EpochDomain::retire(std::function<void()> reclaim) {
 
 std::vector<EpochDomain::Retired> EpochDomain::collect_ripe() {
     std::vector<Retired> ripe;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (retired_.empty()) return ripe;
     // Any live guard anywhere may have been taken before any retirement we
     // know about — defer everything. (Guards taken *after* a retirement
     // can only observe the new pointer, so this is conservative but safe.)
     // A guard on the *calling* thread pins the caller's own entries too:
     // withdraw-from-inside-advice must not free the table being walked.
+    // The check runs under the lock, after the entries it clears are
+    // visible: every entry in retired_ was unpublished before it was
+    // queued, so a guard taken after this load reads the new pointer. A
+    // check made before the lock would also clear entries queued after it,
+    // whose old pointer a guard taken in between may still be walking.
     if (guards_.load(std::memory_order_seq_cst) != 0) return ripe;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (retired_.empty()) return ripe;
     std::uint64_t min_local = UINT64_MAX;
     for (Slot* s : slots_) {
         if (!s->active.load(std::memory_order_relaxed)) continue;
@@ -150,10 +183,21 @@ std::vector<EpochDomain::Retired> EpochDomain::collect_ripe() {
         }
     }
     retired_.swap(keep);
+    pending_.store(retired_.size(), std::memory_order_seq_cst);
     return ripe;
 }
 
 void EpochDomain::reap() {
+    // seq_cst pairs with retire()'s store: a guard released concurrently
+    // with a retirement either sees the entry here or lets the retiring
+    // thread's own reap past the guard count.
+    if (pending_.load(std::memory_order_seq_cst) == 0) return;
+    // A participant of this domain outside any guard holds no table
+    // pointer: reaping is one of its quiescent points. (This is what lets
+    // a weave or withdraw on a simulator's thread reclaim at once.)
+    if (tl_.participant != nullptr && &tl_.participant->domain_ == this && tl_.depth == 0) {
+        tl_.participant->announce();
+    }
     // Deleters run outside the lock: reclaiming a Woven can tear down
     // aspect state that itself logs, meters, or retires more entries.
     std::vector<Retired> ripe = collect_ripe();
@@ -163,9 +207,6 @@ void EpochDomain::reap() {
     for (std::size_t i = 0; i < ripe.size(); ++i) epoch_metrics().reclaimed.inc();
 }
 
-std::size_t EpochDomain::pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return retired_.size();
-}
+std::size_t EpochDomain::pending() const { return pending_.load(std::memory_order_seq_cst); }
 
 }  // namespace pmp

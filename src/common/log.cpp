@@ -70,8 +70,16 @@ void Log::write(LogLevel level, SimTime when, const std::string& component,
 
     std::lock_guard<std::mutex> lock(log_mu());
     auto emit = [&](const std::string& text) {
-        std::string line = "[" + to_string(when) + "] " +
-                           kNames[static_cast<int>(level)] + " " + canonical + ": " + text;
+        // Appended piecewise: `"literal" + std::string&&` trips GCC 12's
+        // -Wrestrict false positive at -O3.
+        std::string line = "[";
+        line.append(to_string(when))
+            .append("] ")
+            .append(kNames[static_cast<int>(level)])
+            .append(" ")
+            .append(canonical)
+            .append(": ")
+            .append(text);
         if (log.sink_) {
             log.sink_(level, line);
         } else {
@@ -85,8 +93,9 @@ void Log::write(LogLevel level, SimTime when, const std::string& component,
         // the same process) also rolls the window.
         if (when < slot.window_start || when >= slot.window_start + log.storm_window_) {
             if (slot.suppressed > 0) {
-                emit("(" + std::to_string(slot.suppressed) +
-                     " similar lines suppressed in the last window)");
+                emit(std::string("(")
+                         .append(std::to_string(slot.suppressed))
+                         .append(" similar lines suppressed in the last window)"));
             }
             slot = StormSlot{when, 0, 0};
         }

@@ -10,11 +10,13 @@ using script::BuiltinRegistry;
 
 /// The join point the advice currently executing can see. Saved/restored
 /// around every script invocation so nested interceptions (e.g. proceed()
-/// triggering further woven calls) see their own join point.
+/// triggering further woven calls) see their own join point. It holds only
+/// pointers (into the intercepted call's frame and the advice wrapper's
+/// locals), so the save and restore are two small copies.
 struct CurrentJoinPoint {
     rt::CallFrame* frame = nullptr;
     const std::function<Value()>* proceed = nullptr;
-    std::string error_message;
+    const std::string* error_message = nullptr;  ///< after-throwing only
 
     rt::ServiceObject* field_self = nullptr;
     const rt::FieldDecl* field = nullptr;
@@ -38,17 +40,14 @@ struct ScriptAspect::State {
     }
 
     /// Run `function` with the given join point installed.
-    Value fire(const std::string& function, CurrentJoinPoint next) {
-        CurrentJoinPoint saved = std::move(jp);
-        jp = std::move(next);
-        try {
-            Value out = engine->call(function, {});
-            jp = std::move(saved);
-            return out;
-        } catch (...) {
-            jp = std::move(saved);
-            throw;
-        }
+    Value fire(script::Engine::FunctionRef function, const CurrentJoinPoint& next) {
+        struct Restore {
+            CurrentJoinPoint& jp;
+            CurrentJoinPoint saved;
+            ~Restore() { jp = saved; }
+        } restore{jp, jp};
+        jp = next;
+        return engine->call(function, {});
     }
 };
 
@@ -109,7 +108,9 @@ void ScriptAspect::install_ctx_builtins(BuiltinRegistry& reg,
         s->frame().result = (*s->jp.proceed)();
         return s->frame().result;
     });
-    reg.add("ctx.error", "", [s](rt::List&) -> Value { return Value{s->jp.error_message}; });
+    reg.add("ctx.error", "", [s](rt::List&) -> Value {
+        return Value{s->jp.error_message ? *s->jp.error_message : std::string{}};
+    });
     // Per-call annotations (implicit context shared by cooperating
     // extensions along one invocation, e.g. session info).
     reg.add("ctx.set_note", "", [s](rt::List& args) -> Value {
@@ -215,10 +216,11 @@ ScriptAspect::ScriptAspect(std::string name,
     std::shared_ptr<State> state = state_;
 
     for (const ScriptBinding& binding : bindings) {
-        if (!program->find_function(binding.function)) {
+        // Resolved once here; advice calls the function without a lookup.
+        const script::Engine::FunctionRef fn = state_->engine->resolve(binding.function);
+        if (!fn) {
             throw ScriptError("extension script defines no function '" + binding.function + "'");
         }
-        const std::string fn = binding.function;
         Pointcut pc = binding.parsed ? *binding.parsed : Pointcut::parse(binding.pointcut);
         switch (binding.kind) {
             case AdviceKind::kBefore:
@@ -227,7 +229,7 @@ ScriptAspect::ScriptAspect(std::string name,
                     [state, fn](rt::CallFrame& frame) {
                         CurrentJoinPoint jp;
                         jp.frame = &frame;
-                        state->fire(fn, std::move(jp));
+                        state->fire(fn, jp);
                     },
                     binding.priority);
                 break;
@@ -237,7 +239,7 @@ ScriptAspect::ScriptAspect(std::string name,
                     [state, fn](rt::CallFrame& frame) {
                         CurrentJoinPoint jp;
                         jp.frame = &frame;
-                        state->fire(fn, std::move(jp));
+                        state->fire(fn, jp);
                     },
                     binding.priority);
                 break;
@@ -245,16 +247,18 @@ ScriptAspect::ScriptAspect(std::string name,
                 aspect_->after_throwing(
                     std::move(pc),
                     [state, fn](rt::CallFrame& frame, std::exception_ptr error) {
-                        CurrentJoinPoint jp;
-                        jp.frame = &frame;
+                        std::string message;
                         try {
                             if (error) std::rethrow_exception(error);
                         } catch (const std::exception& e) {
-                            jp.error_message = e.what();
+                            message = e.what();
                         } catch (...) {
-                            jp.error_message = "unknown error";
+                            message = "unknown error";
                         }
-                        state->fire(fn, std::move(jp));
+                        CurrentJoinPoint jp;
+                        jp.frame = &frame;
+                        jp.error_message = &message;
+                        state->fire(fn, jp);
                     },
                     binding.priority);
                 break;
@@ -266,7 +270,7 @@ ScriptAspect::ScriptAspect(std::string name,
                         CurrentJoinPoint jp;
                         jp.frame = &frame;
                         jp.proceed = &proceed;
-                        Value out = state->fire(fn, std::move(jp));
+                        Value out = state->fire(fn, jp);
                         // Convention: if the function returns a value, that
                         // is the call result; a null return keeps whatever
                         // proceed()/set_result established.
@@ -284,7 +288,7 @@ ScriptAspect::ScriptAspect(std::string name,
                         jp.field = &field;
                         jp.old_value = &old_value;
                         jp.new_value = &new_value;
-                        state->fire(fn, std::move(jp));
+                        state->fire(fn, jp);
                     },
                     binding.priority);
                 break;
@@ -297,7 +301,7 @@ ScriptAspect::ScriptAspect(std::string name,
                         jp.field_self = &self;
                         jp.field = &field;
                         jp.new_value = &value;
-                        state->fire(fn, std::move(jp));
+                        state->fire(fn, jp);
                     },
                     binding.priority);
                 break;

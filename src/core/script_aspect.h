@@ -49,7 +49,7 @@ struct ScriptBinding {
     int priority = 0;
     /// Optionally pre-parsed (the MIDAS receiver caches Pointcuts by
     /// source string); when set, `pointcut` is not parsed again.
-    std::optional<Pointcut> parsed;
+    std::optional<Pointcut> parsed{};
 };
 
 /// Compiles script source into a weavable Aspect.

@@ -30,30 +30,28 @@ Weaver::~Weaver() {
 }
 
 void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
-    // Per-aspect join-point telemetry: every advice execution bumps the
-    // aspect's call counter and records its (real, CPU) latency. Slots are
-    // resolved once per weave; the woven hooks carry raw pointers, which
-    // stay valid because these are pinned registry entries.
-    obs::Counter* calls =
-        &obs::Registry::global().counter("weaver.advice_calls", woven.aspect->name());
-    obs::Histogram* latency =
-        &obs::Registry::global().histogram("weaver.advice_ns", woven.aspect->name());
-
-    // The wrapper also reports every outcome to the advice observer (the
-    // receiver's quarantine input) — success as nullptr, failure as the
-    // escaping exception, which is then rethrown unchanged. The observer
-    // runs regardless of obs::enabled(): it is protocol machinery, not
-    // telemetry.
+    // Every advice execution goes through this wrapper, which pays only
+    // for what is in use:
+    //   * telemetry (obs::enabled()): the dispatch site's Profiler meter
+    //     counts every execution and times a sample of them (see
+    //     Profiler::kTimeEvery) — two clock reads on the sampled calls
+    //     only — plus the one-shot first-dispatch instant;
+    //   * the advice observer (the receiver's quarantine input) hears every
+    //     failure, as the escaping exception, which is then rethrown
+    //     unchanged, and the first success after a failure, as nullptr (the
+    //     only success that changes a failure streak). A success after a
+    //     success is not reported. The observer runs regardless of
+    //     obs::enabled(): it is protocol machinery, not telemetry.
     // `wp` is stable: each Woven is heap-pinned (unique_ptr in woven_),
     // and withdraw retires it through the epoch domain after unhooking, so
     // no hook — including a superseded snapshot still being walked on
     // another shard — outlives its Woven.
-    auto timed = [this, id, calls, latency, wp = &woven](
-                     const obs::Profiler::Site& site, const auto& fn,
-                     auto&&... args) -> decltype(auto) {
-        const bool instrument = obs::enabled();
-        if (instrument) {
-            calls->inc();
+    auto run_advice = [this, id, wp = &woven](const obs::Profiler::Site& site,
+                                              const auto& fn,
+                                              auto&&... args) -> decltype(auto) {
+        bool sampled = false;
+        Clock::time_point t0{};
+        if (obs::enabled()) {
             if (!wp->first_dispatched.load(std::memory_order_relaxed) &&
                 !wp->first_dispatched.exchange(true, std::memory_order_relaxed)) {
                 // First advice execution ever for this weave: mark it on
@@ -64,29 +62,30 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
                 tb.instant("prose.weaver", "advice.first_dispatch",
                            {{"aspect", wp->aspect->name()}});
             }
+            if (site.count()) {
+                sampled = true;
+                t0 = Clock::now();
+            }
         }
-        Clock::time_point t0 = instrument ? Clock::now() : Clock::time_point{};
+        auto succeeded = [&] {
+            if (sampled) site.advice_ns->observe(elapsed_ns(t0));
+            if (wp->failing.load(std::memory_order_relaxed)) [[unlikely]] {
+                wp->failing.store(false, std::memory_order_relaxed);
+                if (advice_observer_) advice_observer_(id, nullptr);
+            }
+        };
         try {
             if constexpr (std::is_void_v<decltype(fn(
                               std::forward<decltype(args)>(args)...))>) {
                 fn(std::forward<decltype(args)>(args)...);
-                if (instrument) {
-                    double ns = elapsed_ns(t0);
-                    latency->observe(ns);
-                    site.record(ns);
-                }
-                if (advice_observer_) advice_observer_(id, nullptr);
+                succeeded();
             } else {
                 auto result = fn(std::forward<decltype(args)>(args)...);
-                if (instrument) {
-                    double ns = elapsed_ns(t0);
-                    latency->observe(ns);
-                    site.record(ns);
-                }
-                if (advice_observer_) advice_observer_(id, nullptr);
+                succeeded();
                 return result;
             }
         } catch (const std::exception& e) {
+            wp->failing.store(true, std::memory_order_relaxed);
             if (advice_observer_) advice_observer_(id, &e);
             throw;
         }
@@ -108,39 +107,39 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
                     switch (binding.kind) {
                         case AdviceKind::kBefore:
                             method->add_entry_hook(id.value, binding.priority,
-                                                   [this, id, timed, site,
+                                                   [this, id, run_advice, site,
                                                     fn = binding.before](rt::CallFrame& f) {
                                                        if (!allows(id)) return;
-                                                       timed(site, fn, f);
+                                                       run_advice(site, fn, f);
                                                    });
                             break;
                         case AdviceKind::kAfter:
                             method->add_exit_hook(id.value, binding.priority,
-                                                  [this, id, timed, site,
+                                                  [this, id, run_advice, site,
                                                    fn = binding.after](rt::CallFrame& f) {
                                                       if (!allows(id)) return;
-                                                      timed(site, fn, f);
+                                                      run_advice(site, fn, f);
                                                   });
                             break;
                         case AdviceKind::kAfterThrowing:
                             method->add_error_hook(
                                 id.value, binding.priority,
-                                [this, id, timed, site, fn = binding.after_throwing](
+                                [this, id, run_advice, site, fn = binding.after_throwing](
                                     rt::CallFrame& f, std::exception_ptr e) {
                                     if (!allows(id)) return;
-                                    timed(site, fn, f, e);
+                                    run_advice(site, fn, f, e);
                                 });
                             break;
                         default:
                             method->add_around_hook(
                                 id.value, binding.priority,
-                                [this, id, timed, site, fn = binding.around](
+                                [this, id, run_advice, site, fn = binding.around](
                                     rt::CallFrame& f,
                                     const std::function<rt::Value()>& proceed) {
                                     // A gated around must not swallow the
                                     // underlying call.
                                     if (!allows(id)) return proceed();
-                                    return timed(site, fn, f, proceed);
+                                    return run_advice(site, fn, f, proceed);
                                 });
                             break;
                     }
@@ -151,10 +150,11 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
                     ++woven.report.fields_matched;
                     woven.hooked_fields.push_back(field);
                     field->add_set_hook(id.value, binding.priority,
-                                        [this, id, timed, site,
+                                        [this, id, run_advice, site,
                                          fn = binding.field_set](auto&&... args) {
                                             if (!allows(id)) return;
-                                            timed(site, fn, std::forward<decltype(args)>(args)...);
+                                            run_advice(site, fn,
+                                                       std::forward<decltype(args)>(args)...);
                                         });
                 }
                 break;
@@ -163,10 +163,11 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
                     ++woven.report.fields_matched;
                     woven.hooked_fields.push_back(field);
                     field->add_get_hook(id.value, binding.priority,
-                                        [this, id, timed, site,
+                                        [this, id, run_advice, site,
                                          fn = binding.field_get](auto&&... args) {
                                             if (!allows(id)) return;
-                                            timed(site, fn, std::forward<decltype(args)>(args)...);
+                                            run_advice(site, fn,
+                                                       std::forward<decltype(args)>(args)...);
                                         });
                 }
                 break;

@@ -49,13 +49,16 @@ public:
     const WeaveReport* report(AspectId id) const;
     std::size_t woven_count() const { return woven_.size(); }
 
-    /// Per-advice outcome observer: fires after every advice execution with
-    /// nullptr on success or the escaping exception on failure (which then
-    /// propagates unchanged). One observer per weaver — the adaptation
-    /// service uses it to quarantine extensions whose advice keeps
-    /// crashing. Pass nullptr to detach. Applies to hooks woven after the
-    /// call as well as existing ones (hooks capture the weaver, which
-    /// outlives them in the node stack).
+    /// Per-advice outcome observer: fires with the escaping exception on
+    /// every advice failure (the exception then propagates unchanged), and
+    /// with nullptr on the first success of an aspect after a failure —
+    /// the success that ends a failure streak. Successes that follow
+    /// successes are not reported, so a healthy aspect never reaches the
+    /// observer. One observer per weaver — the adaptation service uses it
+    /// to quarantine extensions whose advice keeps crashing. Pass nullptr
+    /// to detach. Applies to hooks woven after the call as well as
+    /// existing ones (hooks capture the weaver, which outlives them in the
+    /// node stack).
     using AdviceObserver = std::function<void(AspectId, const std::exception*)>;
     void set_advice_observer(AdviceObserver fn) { advice_observer_ = std::move(fn); }
 
@@ -92,6 +95,9 @@ private:
         /// Dispatch may run on many shard workers at once; exactly one of
         /// them wins the right to record the first-dispatch instant.
         std::atomic<bool> first_dispatched{false};
+        /// The last advice execution of this aspect failed: the next
+        /// success is reported to the advice observer.
+        std::atomic<bool> failing{false};
     };
 
     void weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven);

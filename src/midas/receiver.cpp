@@ -53,8 +53,9 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
     pointcut_cache_.cap = config_.pointcut_cache_cap;
     if (journal_) recover();
 
-    // Protocol machinery, not telemetry: the weaver reports every advice
-    // outcome and repeated script failures quarantine the extension.
+    // Protocol machinery, not telemetry: the weaver reports advice failures
+    // (and the success that ends a run of them), and repeated script
+    // failures quarantine the extension.
     weaver_.set_advice_observer([this](AspectId aspect, const std::exception* error) {
         on_advice_outcome(aspect, error);
     });

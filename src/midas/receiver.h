@@ -223,7 +223,9 @@ private:
 
     /// Weaver advice-outcome observer: counts consecutive failures per
     /// extension and (deferred — we may be inside the failing dispatch)
-    /// quarantines past the threshold.
+    /// quarantines past the threshold. The weaver reports every failure
+    /// but only the first success after one, which is exactly the success
+    /// that resets the streak, so healthy dispatch never reaches here.
     void on_advice_outcome(AspectId aspect, const std::exception* error);
     void quarantine(ExtensionId id);
 

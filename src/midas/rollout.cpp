@@ -61,6 +61,9 @@ double p95_of(const std::vector<double>& bounds,
 /// into one bucket vector. Sites are per (extension, pointcut) — the
 /// incumbent and the canary share them, so the windowed delta mixes both
 /// while a stage runs; docs/rollout.md spells out the dilution caveat.
+/// Each histogram is read once, as one bucket snapshot, and the count is
+/// derived from that snapshot: buckets and count always agree, so the
+/// windowed delta never subtracts a baseline bucket from a torn read.
 void fold_advice_ns(const std::string& pkg, std::vector<double>& bounds,
                     std::vector<std::uint64_t>& buckets, std::uint64_t& count) {
     const std::string prefix = pkg + "|";
@@ -69,9 +72,12 @@ void fold_advice_ns(const std::string& pkg, std::vector<double>& bounds,
             if (name != "profile.advice_ns") return;
             if (label.rfind(prefix, 0) != 0) return;
             if (bounds.empty()) bounds = h.bounds();
-            if (buckets.size() < h.buckets().size()) buckets.resize(h.buckets().size(), 0);
-            for (std::size_t i = 0; i < h.buckets().size(); ++i) buckets[i] += h.buckets()[i];
-            count += h.count();
+            const std::vector<std::uint64_t> snap = h.buckets();
+            if (buckets.size() < snap.size()) buckets.resize(snap.size(), 0);
+            for (std::size_t i = 0; i < snap.size(); ++i) {
+                buckets[i] += snap[i];
+                count += snap[i];
+            }
         });
 }
 
@@ -437,7 +443,13 @@ void RolloutController::poll_health(Rollout& r) {
         std::vector<std::uint64_t> buckets;
         std::uint64_t count = 0;
         fold_advice_ns(r.name, bounds, buckets, count);
-        if (buckets.size() >= r.lat_buckets0.size() && count >= r.lat_count0) {
+        // Buckets only grow; one that shrank was reset under us, and the
+        // window has no meaningful delta.
+        bool monotonic = buckets.size() >= r.lat_buckets0.size();
+        for (std::size_t i = 0; monotonic && i < r.lat_buckets0.size(); ++i) {
+            monotonic = buckets[i] >= r.lat_buckets0[i];
+        }
+        if (monotonic) {
             std::vector<std::uint64_t> delta = buckets;
             for (std::size_t i = 0; i < r.lat_buckets0.size(); ++i) {
                 delta[i] -= r.lat_buckets0[i];

@@ -74,7 +74,8 @@ struct RolloutConfig {
     int escalation_tolerance = 3;
     /// Latency gate: abort when the canary's windowed advice p95 exceeds
     /// `latency_factor` × the incumbent's baseline p95 with at least
-    /// `latency_min_samples` in both. 0 disables (the default: advice
+    /// `latency_min_samples` timed samples in both (the weaver times one
+    /// advice call in obs::Profiler::kTimeEvery). 0 disables (the default: advice
     /// latency is wall-clock, so an armed gate trades bit-identical seed
     /// replay for regression coverage — see docs/rollout.md).
     double latency_factor = 0.0;

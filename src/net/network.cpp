@@ -319,8 +319,7 @@ bool Network::send(const Message& msg) {
 std::size_t Network::broadcast(NodeId from, const std::string& kind, Bytes payload) {
     std::size_t scheduled = 0;
     for (NodeId neighbor : neighbors(from)) {
-        Message copy{from, neighbor, kind, payload};
-        copy.trace = obs::TraceBuffer::global().current();
+        Message copy{from, neighbor, kind, payload, obs::TraceBuffer::global().current()};
         if (send(copy)) ++scheduled;
     }
     return scheduled;

@@ -51,7 +51,7 @@ struct Message {
     /// deliberately excluded from wire_size(). A duplicated frame copies
     /// the whole Message, context included, so duplicates attach to the
     /// original's trace.
-    obs::TraceContext trace;
+    obs::TraceContext trace{};
 
     /// Approximate on-air size, used for the per-byte latency component.
     std::size_t wire_size() const { return kind.size() + payload.size() + 16; }

@@ -18,10 +18,9 @@ void MessageRouter::route(const std::string& kind, Handler handler) {
 void MessageRouter::unroute(const std::string& kind) { handlers_.erase(kind); }
 
 bool MessageRouter::send(NodeId to, const std::string& kind, Bytes payload) {
-    Message msg{self_, to, kind, std::move(payload)};
     // Stamp the sender's causal position onto the frame; delivery on the
     // far side restores it, which is how a trace crosses the radio.
-    msg.trace = obs::TraceBuffer::global().current();
+    Message msg{self_, to, kind, std::move(payload), obs::TraceBuffer::global().current()};
     return network_.send(msg);
 }
 

@@ -9,31 +9,48 @@ namespace pmp::obs {
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
     if (bounds_.empty()) bounds_ = latency_ns_bounds();
-    buckets_.assign(bounds_.size() + 1, 0);
+    buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
 }
 
 void Histogram::observe(double v) {
     if (!detail::g_enabled) return;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-    ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-    ++count_;
-    sum_ += v;
+    buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
+        1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+std::uint64_t Histogram::count() const {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+        n += buckets_[i].load(std::memory_order_relaxed);
+    }
+    return n;
+}
+
+std::vector<std::uint64_t> Histogram::buckets() const {
+    std::vector<std::uint64_t> out(bounds_.size() + 1);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = buckets_[i].load(std::memory_order_relaxed);
+    }
+    return out;
 }
 
 double Histogram::quantile(double q) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count_ == 0) return 0.0;
+    const std::vector<std::uint64_t> snap = buckets();
+    std::uint64_t count = 0;
+    for (std::uint64_t b : snap) count += b;
+    if (count == 0) return 0.0;
     q = std::clamp(q, 0.0, 1.0);
-    double rank = q * static_cast<double>(count_);
+    double rank = q * static_cast<double>(count);
     double cumulative = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        double next = cumulative + static_cast<double>(buckets_[i]);
-        if (next >= rank && buckets_[i] > 0) {
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        double next = cumulative + static_cast<double>(snap[i]);
+        if (next >= rank && snap[i] > 0) {
             if (i >= bounds_.size()) return bounds_.back();  // overflow bucket
             double lo = i == 0 ? 0.0 : bounds_[i - 1];
             double hi = bounds_[i];
-            double fraction = (rank - cumulative) / static_cast<double>(buckets_[i]);
+            double fraction = (rank - cumulative) / static_cast<double>(snap[i]);
             return lo + fraction * (hi - lo);
         }
         cumulative = next;
@@ -42,10 +59,10 @@ double Histogram::quantile(double q) const {
 }
 
 void Histogram::reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = 0;
-    sum_ = 0;
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+        buckets_[i].store(0, std::memory_order_relaxed);
+    }
+    sum_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -47,6 +47,10 @@ public:
     void inc(std::uint64_t n = 1) {
         if (detail::g_enabled) value_.fetch_add(n, std::memory_order_relaxed);
     }
+    /// Unconditional increment that returns the count before it, for a
+    /// meter that branches on its own count (the caller has already
+    /// checked `enabled()`).
+    std::uint64_t fetch_inc() { return value_.fetch_add(1, std::memory_order_relaxed); }
     std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { value_.store(0, std::memory_order_relaxed); }
 
@@ -75,35 +79,32 @@ private:
 /// Quantiles interpolate linearly inside the bucket that crosses the rank,
 /// which is exact enough for latency reporting (p50/p95/p99) without ever
 /// storing samples.
-/// Writes from concurrent shard workers are serialized by a per-histogram
-/// mutex (histograms are off the per-dispatch fast path). The aggregate
-/// read accessors lock too; `bounds()`/`buckets()` return references and
-/// are for quiesced readers (exporters between windows, tests after run).
+/// Lock-free: every bucket and the sum are relaxed atomics, so concurrent
+/// shard workers record without serializing and no sample is lost. The
+/// count is the sum of the buckets, never a separate field, so a reader
+/// that takes one `buckets()` snapshot gets a count consistent with it
+/// (readers racing writers see some prefix of the in-flight samples).
 class Histogram {
 public:
     explicit Histogram(std::vector<double> bounds);
 
     void observe(double v);
 
-    std::uint64_t count() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return count_;
-    }
-    double sum() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return sum_;
-    }
+    std::uint64_t count() const;
+    double sum() const { return sum_.load(std::memory_order_relaxed); }
     const std::vector<double>& bounds() const { return bounds_; }
-    /// Per-bucket counts; size == bounds().size() + 1 (last = overflow).
-    const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+    /// Snapshot of the per-bucket counts; size == bounds().size() + 1
+    /// (last = overflow). Derive a count from the snapshot itself when it
+    /// must agree with the buckets.
+    std::vector<std::uint64_t> buckets() const;
 
     /// q in [0,1]. Returns 0 when empty; clamps to the largest finite bound
     /// for ranks landing in the overflow bucket.
     double quantile(double q) const;
 
     double mean() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+        const std::uint64_t n = count();
+        return n == 0 ? 0.0 : sum() / static_cast<double>(n);
     }
 
     void reset();
@@ -114,11 +115,9 @@ public:
     static const std::vector<double>& latency_ms_bounds();
 
 private:
-    mutable std::mutex mu_;
     std::vector<double> bounds_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  ///< bounds_.size() + 1
+    std::atomic<double> sum_{0};
 };
 
 /// The registry: name -> label -> metric. `Registry::global()` is the
@@ -189,8 +188,8 @@ private:
                  std::string_view name, std::string_view label);
 
     /// Guards the family maps (lookup-or-create, release, visits). The
-    /// metrics themselves are not guarded by this: Counter/Gauge are
-    /// atomic, Histogram carries its own mutex, and handed-out references
+    /// metrics themselves are not guarded by this: Counter, Gauge and
+    /// Histogram are all atomic, and handed-out references
     /// stay valid regardless (slots are unique_ptr-pinned).
     mutable std::mutex mu_;
     std::map<std::string, Family<Counter>, std::less<>> counters_;

@@ -40,14 +40,24 @@ std::vector<ExtensionCost> attribution_from(const Snapshot& snap) {
                                                        ? std::string{}
                                                        : label.substr(bar + 1)};
     };
+    std::map<std::string, const HistogramSample*> timed;
     for (const HistogramSample& h : snap.histograms) {
-        if (h.name != "profile.advice_ns") continue;
-        auto [ext, pointcut] = split(h.label);
+        if (h.name == "profile.advice_ns") timed[h.label] = &h;
+    }
+    for (const CounterSample& c : snap.counters) {
+        if (c.name != "profile.advice_calls") continue;
+        auto [ext, pointcut] = split(c.label);
+        auto t = timed.find(c.label);
+        const HistogramSample* h = t == timed.end() ? nullptr : t->second;
+        const double total_ns =
+            h && h->count > 0
+                ? h->sum * static_cast<double>(c.value) / static_cast<double>(h->count)
+                : 0.0;
         ExtensionCost& cost = by_ext[ext];
         cost.extension = ext;
-        cost.invocations += h.count;
-        cost.total_ns += h.sum;
-        cost.sites.push_back(SiteCost{ext, pointcut, h.count, h.sum, h.p95});
+        cost.invocations += c.value;
+        cost.total_ns += total_ns;
+        cost.sites.push_back(SiteCost{ext, pointcut, c.value, total_ns, h ? h->p95 : 0.0});
     }
     for (const CounterSample& c : snap.counters) {
         if (c.name != "profile.steps") continue;

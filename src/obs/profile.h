@@ -2,8 +2,8 @@
 //
 // Independently authored extensions share one node; when the node's
 // budget burns, someone must be billable. The Profiler owns that ledger:
-// the weaver's dispatch gate feeds it one latency sample per advice
-// execution, keyed (extension, pointcut) — so "which extension" and
+// the weaver's dispatch wrapper counts every advice execution and times a
+// sample of them, keyed (extension, pointcut) — so "which extension" and
 // "which join point of it" are both answerable — and the script engines'
 // step observer feeds it interpreter steps per extension (the same feed
 // the resource governor meters; both now draw from one observer).
@@ -32,6 +32,14 @@ class Profiler {
 public:
     static Profiler& global();
 
+    /// A site's wall-clock latency is sampled: its first advice execution
+    /// and every kTimeEvery-th after it are timed, decided from the site's
+    /// own call count (a thread-global countdown would alias with a
+    /// periodic call mix). Calls are still counted exactly, so
+    /// `profile.advice_calls` is exact and `profile.advice_ns` holds
+    /// ceil(calls / kTimeEvery) samples.
+    static constexpr std::uint64_t kTimeEvery = 16;
+
     /// Pinned registry slots for one (extension, pointcut) dispatch site,
     /// resolved once at weave time; the woven hooks carry the Site by
     /// value and record without any lookup.
@@ -39,6 +47,12 @@ public:
         Counter* calls = nullptr;
         Histogram* advice_ns = nullptr;
 
+        /// Count one advice execution; true when it is one to time. The
+        /// caller checks `obs::enabled()` first and, when this returns
+        /// true, observes the execution's latency into `advice_ns`.
+        bool count() const { return calls->fetch_inc() % kTimeEvery == 0; }
+
+        /// Record one execution with a latency measured by the caller.
         void record(double ns) const {
             calls->inc();
             advice_ns->observe(ns);
@@ -76,7 +90,9 @@ struct ExtensionCost {
 };
 
 /// Fold `profile.*` samples out of a snapshot (live or parsed from JSON)
-/// into per-extension bills, by descending total_ns.
+/// into per-extension bills, by descending total_ns. Invocations come from
+/// the exact `profile.advice_calls` counts; a site's `total_ns` is its
+/// timed samples' sum scaled by calls / timed samples.
 std::vector<ExtensionCost> attribution_from(const Snapshot& snap);
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/error.h"
 #include "rt/value.h"
 #include "script/sandbox.h"
 
@@ -34,10 +35,28 @@ public:
 
     virtual bool has_function(std::string_view name) const = 0;
 
-    /// Invoke a named function. Throws ScriptError for script faults,
+    /// A script function resolved once by name, so a host that calls the
+    /// same function again and again (advice) skips the by-name lookup.
+    /// Opaque: valid for the engine that resolved it, for that engine's
+    /// lifetime. Empty when no such function exists.
+    struct FunctionRef {
+        const void* impl = nullptr;
+        explicit operator bool() const { return impl != nullptr; }
+    };
+    virtual FunctionRef resolve(std::string_view name) const = 0;
+
+    /// Invoke a resolved function. Throws ScriptError for script faults,
     /// AccessDenied for capability violations, ResourceExhausted for
     /// budget overruns, DeadlineExceeded for watchdog overruns.
-    virtual rt::Value call(std::string_view name, rt::List args) = 0;
+    virtual rt::Value call(FunctionRef fn, rt::List args) = 0;
+
+    /// Invoke a named function (resolve + call); ScriptError if the
+    /// program defines no such function.
+    rt::Value call(std::string_view name, rt::List args) {
+        FunctionRef fn = resolve(name);
+        if (!fn) throw ScriptError("no function '" + std::string(name) + "'");
+        return call(fn, std::move(args));
+    }
 
     /// Read/write a global (tests and host glue).
     virtual const rt::Value* global(const std::string& name) const = 0;

@@ -43,7 +43,11 @@ public:
     /// Invoke a named function. Throws ScriptError for script faults,
     /// AccessDenied for capability violations, ResourceExhausted for
     /// budget overruns.
-    rt::Value call(std::string_view name, rt::List args) override;
+    FunctionRef resolve(std::string_view name) const override {
+        return FunctionRef{program_->find_function(name)};
+    }
+    using Engine::call;
+    rt::Value call(FunctionRef fn, rt::List args) override;
 
     /// Read/write a global (tests and host glue).
     const rt::Value* global(const std::string& name) const override;

@@ -153,7 +153,7 @@ Value* lval_index(Value* base, const Value& idx, int line) {
         List& l = base->as_list();
         std::int64_t i = want_int(idx, "index");
         if (i == static_cast<std::int64_t>(l.size())) {
-            l.push_back(Value{});  // l[len(l)] = v appends
+            l.emplace_back();  // l[len(l)] = v appends
             return &l.back();
         }
         if (i < 0 || i > static_cast<std::int64_t>(l.size())) {

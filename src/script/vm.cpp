@@ -33,9 +33,8 @@ void Vm::run_top_level() {
     invoke(unit_->top_level, {}, /*counts_depth=*/false);
 }
 
-Value Vm::call(std::string_view name, List args) {
-    const Chunk* chunk = unit_->find_function(name);
-    if (!chunk) throw ScriptError("no function '" + std::string(name) + "'");
+Value Vm::call(FunctionRef fn, List args) {
+    const Chunk* chunk = static_cast<const Chunk*>(fn.impl);
     if (call_nesting_ > 0) {
         // Re-entrant call (host builtin calling back into script): one
         // invocation for budget purposes, so don't reset the meter and

@@ -42,7 +42,11 @@ public:
         return unit_->find_function(name) != nullptr;
     }
 
-    rt::Value call(std::string_view name, rt::List args) override;
+    FunctionRef resolve(std::string_view name) const override {
+        return FunctionRef{unit_->find_function(name)};
+    }
+    using Engine::call;
+    rt::Value call(FunctionRef fn, rt::List args) override;
 
     const rt::Value* global(const std::string& name) const override;
     void set_global(const std::string& name, rt::Value value) override;

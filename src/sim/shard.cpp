@@ -161,6 +161,9 @@ void ShardedSimulator::run_until(SimTime deadline) {
             horizon = SimTime{deadline.ns + 1};
         }
         run_window_parallel(horizon);
+        // The shards' simulators enrol this (the constructing) thread in
+        // the epoch domain; the barrier is its quiescent point.
+        EpochDomain::poll();
         SimTime edge = std::min(horizon, deadline);
         for (auto& s : sims_) s->advance_to(edge);
         barrier_now_ = edge;

@@ -98,6 +98,7 @@ bool Simulator::fire_next() {
         if (!ev.repeating) live_.erase(ev.id);
         now_ = ev.when;
         ev.fn();
+        EpochDomain::poll();
         return true;
     }
     return false;

@@ -19,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/epoch.h"
 #include "common/time.h"
 
 namespace pmp::obs {
@@ -49,6 +50,12 @@ public:
     /// a live one restores the outer clock on destruction instead of
     /// leaving the buffer clockless ("most recently constructed wins" is
     /// gone — binding is scoped to this object's lifetime).
+    ///
+    /// The constructing thread is also enrolled in the global EpochDomain
+    /// for the simulator's lifetime, and every event is followed by an
+    /// epoch quiescent point (EpochDomain::poll): woven dispatch on this
+    /// thread then pins hook tables with a thread-local guard only.
+    /// Construct and destroy a Simulator on the same thread.
     Simulator();
     ~Simulator();
     Simulator(const Simulator&) = delete;
@@ -132,6 +139,7 @@ private:
     bool fire_next();
     void maybe_compact();
 
+    EpochDomain::Enrollment epoch_enrollment_;
     SimTime now_ = SimTime::zero();
     std::uint64_t next_seq_ = 0;
     std::uint64_t next_id_ = 0;

@@ -75,7 +75,7 @@ TEST(HashRing, JoinMovesOnlyKeysBoundForTheNewShard) {
 
     std::map<std::string, NodeId> before;
     for (int i = 0; i < 512; ++i) {
-        std::string key = "k" + std::to_string(i);
+        std::string key = std::string("k").append(std::to_string(i));
         before[key] = ring.owner(key);
     }
     ring.add("s4", NodeId{14});
@@ -475,7 +475,7 @@ struct CellWorld {
         for (int i = 0; i < n; ++i) {
             net::Position pos{130.0 + 5.0 * (i % 6), 5.0 * (i / 6)};
             auto node = std::make_unique<MobileNode>(
-                net, "n" + std::to_string(i), pos, 60.0, rc);
+                net, std::string("n").append(std::to_string(i)), pos, 60.0, rc);
             node->trust().trust("hub", to_bytes("hk"));
             nodes.push_back(std::move(node));
         }
@@ -592,7 +592,7 @@ TEST(CellBatch, RelayDeathDetachesTheCellAndNodesFallBackToDirect) {
     std::vector<std::unique_ptr<MobileNode>> nodes;
     for (int i = 0; i < 4; ++i) {
         auto node = std::make_unique<MobileNode>(
-            net, "n" + std::to_string(i), net::Position{20.0 + 10 * i, 20}, 150.0, rc);
+            net, std::string("n").append(std::to_string(i)), net::Position{20.0 + 10 * i, 20}, 150.0, rc);
         node->trust().trust("hub", to_bytes("hk"));
         nodes.push_back(std::move(node));
     }

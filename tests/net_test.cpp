@@ -440,7 +440,7 @@ TEST(Network, ChurnKeepsNodeTableBounded) {
     net.set_handler(base, [](const Message&) {});
 
     for (int i = 0; i < 1000; ++i) {
-        NodeId n = net.add_node("n" + std::to_string(i), {1, 0}, 10);
+        NodeId n = net.add_node(std::string("n").append(std::to_string(i)), {1, 0}, 10);
         net.set_handler(n, [](const Message&) {});
         net.send(Message{base, n, "k", to_bytes("x")});  // leave one in flight
         net.remove_node(n);

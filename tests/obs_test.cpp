@@ -1,7 +1,11 @@
 // Unit tests for the observability subsystem: metrics registry semantics,
-// quantile interpolation, trace ring eviction, label cardinality capping,
+// lock-free histogram recording under concurrent writers, quantile
+// interpolation, trace ring eviction, label cardinality capping,
 // component canonicalisation, and the JSON snapshot round-trip.
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "obs/component.h"
 #include "obs/export.h"
@@ -102,6 +106,31 @@ TEST(Histogram, DefaultBoundsAreLatencyNs) {
 
 // ------------------------------------------------------------ registry ----
 
+TEST(Histogram, ConcurrentObserversLoseNoSample) {
+    // Lock-free recording: four threads hammer one histogram; every bucket
+    // count, the total and the sum must come out exact.
+    EnabledGuard guard;
+    set_enabled(true);
+    Histogram h({10.0, 20.0, 30.0});
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 20'000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&h, t] {
+            // Thread t lands in bucket t (the last one is the overflow).
+            const double v = 5.0 + 10.0 * t;
+            for (int i = 0; i < kPerThread; ++i) h.observe(v);
+        });
+    }
+    for (auto& th : threads) th.join();
+    const std::vector<std::uint64_t> buckets = h.buckets();
+    ASSERT_EQ(buckets.size(), 4u);
+    for (std::uint64_t b : buckets) EXPECT_EQ(b, static_cast<std::uint64_t>(kPerThread));
+    EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+    // 5 + 15 + 25 + 35 = 80 per round; small integers add exactly in double.
+    EXPECT_DOUBLE_EQ(h.sum(), 80.0 * kPerThread);
+}
+
 TEST(Registry, PinnedAccessorsShareOneSlot) {
     Registry reg;
     reg.counter("a.hits").inc();
@@ -130,7 +159,7 @@ TEST(Registry, ResetZeroesButKeepsSlots) {
 TEST(Registry, LabelCardinalityCapCollapsesToOverflow) {
     Registry reg;
     for (std::size_t i = 0; i < Registry::kLabelCap; ++i) {
-        reg.counter("spam", "l" + std::to_string(i)).inc();
+        reg.counter("spam", std::string("l").append(std::to_string(i))).inc();
     }
     // The family is full: new labels all collapse into one overflow slot.
     reg.counter("spam", "straw").inc();
@@ -272,7 +301,7 @@ Snapshot make_snapshot() {
     static TraceBuffer trace(8);
     reg.reset();
     trace.clear();
-    reg.counter("weaver.advice_calls", "logger").inc(12);
+    reg.counter("profile.advice_calls", "logger").inc(12);
     reg.counter("net.sent").inc(3);
     reg.gauge("midas.extensions", "robot-1").set(2);
     auto& h = reg.histogram("rpc.roundtrip_ms", "", {1.0, 10.0, 100.0});
@@ -287,7 +316,7 @@ Snapshot make_snapshot() {
 TEST(Snapshot, CounterLookupHelper) {
     Snapshot snap = make_snapshot();
     EXPECT_EQ(snap.counter("net.sent"), 3u);
-    EXPECT_EQ(snap.counter("weaver.advice_calls", "logger"), 12u);
+    EXPECT_EQ(snap.counter("profile.advice_calls", "logger"), 12u);
     EXPECT_EQ(snap.counter("no.such.metric"), 0u);
 }
 
@@ -309,7 +338,7 @@ TEST(Snapshot, JsonRejectsGarbage) {
 TEST(Snapshot, TextRenderingMentionsEveryMetric) {
     Snapshot snap = make_snapshot();
     std::string text = to_text(snap);
-    EXPECT_NE(text.find("weaver.advice_calls"), std::string::npos);
+    EXPECT_NE(text.find("profile.advice_calls"), std::string::npos);
     EXPECT_NE(text.find("net.sent"), std::string::npos);
     EXPECT_NE(text.find("midas.extensions"), std::string::npos);
     EXPECT_NE(text.find("rpc.roundtrip_ms"), std::string::npos);

@@ -513,6 +513,81 @@ TEST(Watchdog, AccessDeniedStillDoesNotCountTowardQuarantine) {
 }
 
 // ---------------------------------------------------------------------------
+// Quarantine streaks through the weaver's advice observer, which reports
+// failures and only the first success after one.
+
+TEST(QuarantineStreak, AnInterleavedSuccessResetsTheStreak) {
+    ReceiverConfig rc;
+    rc.quarantine_after = 3;
+    GovWorld w(rc);
+    // Negative degrees make the advice fault (index out of range).
+    w.install(advice_pkg("hall/flaky", "if (ctx.arg(0) < 0) { let x = ctx.arg(9); }"));
+    std::uint32_t version = w.robot->receiver().installed()[0].version;
+    auto call = [&](double degrees) {
+        if (degrees < 0) {
+            EXPECT_THROW(w.motor->call("rotate", {Value{degrees}}), ScriptError);
+        } else {
+            w.motor->call("rotate", {Value{degrees}});
+        }
+    };
+
+    for (double d : {-1.0, -1.0, 1.0, -1.0, -1.0}) call(d);
+    w.sim.run_for(milliseconds(10));
+    EXPECT_EQ(w.robot->receiver().installed_count(), 1u);
+    EXPECT_FALSE(w.robot->receiver().is_quarantined("hall/flaky", version));
+
+    // A third failure in a row crosses the threshold.
+    call(-1.0);
+    w.sim.run_for(milliseconds(10));
+    EXPECT_EQ(w.robot->receiver().installed_count(), 0u);
+    EXPECT_TRUE(w.robot->receiver().is_quarantined("hall/flaky", version));
+}
+
+TEST(QuarantineStreak, ThreeConsecutiveFailuresAfterLongHealthQuarantine) {
+    ReceiverConfig rc;
+    rc.quarantine_after = 3;
+    GovWorld w(rc);
+    w.install(advice_pkg("hall/flaky", "if (ctx.arg(0) < 0) { let x = ctx.arg(9); }"));
+    std::uint32_t version = w.robot->receiver().installed()[0].version;
+    // A long healthy run is not reported to the receiver call by call, and
+    // leaves nothing behind that would soften the next streak.
+    for (int i = 0; i < 100; ++i) w.motor->call("rotate", {Value{1.0}});
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_THROW(w.motor->call("rotate", {Value{-1.0}}), ScriptError);
+    }
+    w.sim.run_for(milliseconds(10));
+    EXPECT_EQ(w.robot->receiver().installed_count(), 0u);
+    EXPECT_TRUE(w.robot->receiver().is_quarantined("hall/flaky", version));
+}
+
+TEST(QuarantineStreak, SuspendedExtensionsAdviceIsSkippedNotCounted) {
+    ReceiverConfig rc;
+    rc.quarantine_after = 3;
+    rc.governor_invocation_budget = 1;
+    rc.governor_suspend_factor = 1.0;
+    rc.governor_quarantine_after = 0;  // the governor never quarantines here
+    GovWorld w(rc);
+    w.install(advice_pkg("hall/broken", "let x = ctx.arg(9);"));
+    std::uint32_t version = w.robot->receiver().installed()[0].version;
+
+    // Two granted dispatches fail (the second one suspends the extension)...
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_THROW(w.motor->call("rotate", {Value{1.0}}), ScriptError);
+    }
+    ASSERT_EQ(w.mode(), AdaptationService::GovernorMode::kSuspended);
+    // ...then the gate skips the advice: the call goes through untouched
+    // and the skipped advice is neither a failure nor a success.
+    const std::uint64_t skipped0 = counter_value("recv.governor.skipped", "robot");
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_NO_THROW(w.motor->call("rotate", {Value{1.0}}));
+    }
+    EXPECT_EQ(counter_value("recv.governor.skipped", "robot") - skipped0, 5u);
+    w.sim.run_for(milliseconds(10));
+    EXPECT_EQ(w.robot->receiver().installed_count(), 1u);
+    EXPECT_FALSE(w.robot->receiver().is_quarantined("hall/broken", version));
+}
+
+// ---------------------------------------------------------------------------
 // Log storm suppression.
 
 TEST(LogStorm, SuppressesBeyondTheCapAndSummarizesNextWindow) {

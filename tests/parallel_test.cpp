@@ -115,6 +115,86 @@ TEST(EpochDomain, CountersTrackRetirements) {
     EXPECT_EQ(domain.reclaimed_total(), domain.retired_total());
 }
 
+TEST(EpochDomain, EnrolledThreadReclaimsAtTheEndOfTheOutermostGuard) {
+    // A simulator's thread is enrolled: its guards are thread-local, and a
+    // retirement from inside one (withdraw-from-inside-advice) is held
+    // until the outermost guard ends, then reclaimed without a reap call.
+    auto& domain = EpochDomain::global();
+    EpochDomain::Enrollment enrolled;
+    bool freed = false;
+    {
+        EpochDomain::ReadGuard outer;
+        {
+            EpochDomain::ReadGuard inner;
+            domain.retire([&]() { freed = true; });
+        }
+        // Neither an explicit reap nor a poll inside the guard counts as
+        // this thread's quiescence.
+        domain.reap();
+        EpochDomain::poll();
+        EXPECT_FALSE(freed);
+    }
+    EXPECT_TRUE(freed);
+    EXPECT_EQ(domain.pending(), 0u);
+}
+
+TEST(EpochDomain, EnrolledThreadOutsideAGuardReclaimsOnRetire) {
+    auto& domain = EpochDomain::global();
+    EpochDomain::Enrollment enrolled;
+    bool freed = false;
+    domain.retire([&]() { freed = true; });
+    EXPECT_TRUE(freed);
+}
+
+TEST(EpochDomain, IdleEnrolledThreadHoldsOtherThreadsRetirementsUntilItPolls) {
+    // QSBR across threads: this (enrolled) thread registered before the
+    // retirement and has not passed a quiescent point since, so another
+    // thread's retirement waits for it.
+    auto& domain = EpochDomain::global();
+    EpochDomain::Enrollment enrolled;
+    std::atomic<bool> freed{false};
+    std::thread retirer([&]() { domain.retire([&]() { freed.store(true); }); });
+    retirer.join();
+    EXPECT_FALSE(freed.load());
+    EpochDomain::poll();  // what the simulator does between events
+    EXPECT_TRUE(freed.load());
+}
+
+TEST(EpochDomain, LeavingTheDomainMidDispatchKeepsTheTablePinned) {
+    // A simulator destroyed from inside advice: the enclosing guard must
+    // keep protecting what the dispatch is walking.
+    auto& domain = EpochDomain::global();
+    auto enrolled = std::make_unique<EpochDomain::Enrollment>();
+    bool freed = false;
+    {
+        EpochDomain::ReadGuard guard;
+        enrolled.reset();
+        domain.retire([&]() { freed = true; });
+        domain.reap();
+        EXPECT_FALSE(freed);
+    }
+    EXPECT_TRUE(freed);
+}
+
+TEST(EpochDomain, SimulatorQuiescesBetweenEvents) {
+    // Another thread's retirement waits for the simulator's thread; an
+    // event then retires from inside a dispatch guard. Both are reclaimed
+    // by the time the event is over.
+    auto& domain = EpochDomain::global();
+    sim::Simulator sim;
+    std::atomic<int> freed{0};
+    std::thread retirer([&]() { domain.retire([&]() { freed.fetch_add(1); }); });
+    retirer.join();
+    EXPECT_EQ(freed.load(), 0);
+    sim.schedule_after(Duration{1}, [&]() {
+        EpochDomain::ReadGuard guard;  // as a woven dispatch would
+        domain.retire([&]() { freed.fetch_add(1); });
+    });
+    sim.run();
+    EXPECT_EQ(freed.load(), 2);
+    EXPECT_EQ(domain.pending(), 0u);
+}
+
 // ------------------------------------------------- RCU hook publication ----
 
 std::shared_ptr<rt::TypeInfo> calc_type() {
@@ -319,7 +399,7 @@ ChaosRun run_shard_chaos(std::size_t workers) {
         cfg.obs_label = "chaos-hall" + std::to_string(i);
         w.net = std::make_unique<net::Network>(shards.shard(i), cfg,
                                                shards.shard_seed(i, "radio"));
-        std::string tag = "s" + std::to_string(i);
+        std::string tag = std::string("s").append(std::to_string(i));
         w.hub = w.net->add_node("hub/" + tag, {0, 0}, 100);
         w.leaf_a = w.net->add_node("leaf-a/" + tag, {10, 0}, 100);
         w.leaf_b = w.net->add_node("leaf-b/" + tag, {0, 10}, 100);

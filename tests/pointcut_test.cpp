@@ -20,7 +20,7 @@ MethodDecl decl(std::string name, TypeKind ret, std::vector<TypeKind> params,
     d.name = std::move(name);
     d.returns = ret;
     for (std::size_t i = 0; i < params.size(); ++i) {
-        d.params.push_back(ParamSpec{"p" + std::to_string(i), params[i]});
+        d.params.push_back(ParamSpec{std::string("p").append(std::to_string(i)), params[i]});
     }
     d.varargs = varargs;
     return d;

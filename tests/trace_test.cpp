@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/weaver.h"
 #include "db/journal.h"
 #include "midas/node.h"
 #include "midas/supervisor.h"
@@ -187,7 +188,7 @@ TEST(FlightRecorder, DumpFreezesTheTail) {
 TEST(FlightRecorder, DumpsAreBounded) {
     obs::FlightRecorder::global().clear();
     for (std::size_t i = 0; i < obs::FlightRecorder::kMaxDumps + 5; ++i) {
-        obs::FlightRecorder::global().dump("n", "r" + std::to_string(i), SimTime{});
+        obs::FlightRecorder::global().dump("n", std::string("r").append(std::to_string(i)), SimTime{});
     }
     EXPECT_EQ(obs::FlightRecorder::global().dumps().size(), obs::FlightRecorder::kMaxDumps);
     // Oldest forgotten first.
@@ -314,6 +315,107 @@ TEST(Profiler, AttributionFoldsSitesIntoExtensionBills) {
     ASSERT_NE(find("extB"), nullptr);
     // The heavier extension bills first.
     EXPECT_EQ(bills.front().extension, "extA");
+}
+
+// Sampled advice timing: every woven call is counted, one in kTimeEvery is
+// timed, and the first call of a site always is.
+struct SamplingProbe {
+    rt::Runtime runtime{"sampling-node"};
+    prose::Weaver weaver{runtime};
+    std::shared_ptr<rt::ServiceObject> obj;
+    obs::Counter* calls = nullptr;
+    obs::Histogram* timed = nullptr;
+
+    explicit SamplingProbe(const std::string& extension) {
+        runtime.register_type(rt::TypeInfo::Builder("Probe")
+                                  .method("noop", rt::TypeKind::kInt, {},
+                                          [](rt::ServiceObject&, List&) -> Value {
+                                              return Value{std::int64_t{1}};
+                                          })
+                                  .build());
+        obj = runtime.create("Probe", "probe");
+        auto aspect = std::make_shared<prose::Aspect>(extension);
+        aspect->before("call(* Probe.noop(..))", [](rt::CallFrame&) {});
+        weaver.weave(aspect);
+        obs::Profiler::Site site =
+            obs::Profiler::global().site(extension, "call(* Probe.noop(..))");
+        calls = site.calls;
+        timed = site.advice_ns;
+        // Pinned slots outlive earlier tests in this process: start clean.
+        calls->reset();
+        timed->reset();
+    }
+
+    void call(int n) {
+        for (int i = 0; i < n; ++i) obj->call("noop", {});
+    }
+};
+
+TEST(ProfilerSampling, CountsEveryCallAndTimesOneInN) {
+    EnabledGuard guard;
+    obs::set_enabled(true);
+    SamplingProbe probe("sampling/exact");
+    constexpr std::uint64_t kN = obs::Profiler::kTimeEvery;
+    constexpr int kCalls = 3 * static_cast<int>(kN) + 5;
+    probe.call(kCalls);
+    EXPECT_EQ(probe.calls->value(), static_cast<std::uint64_t>(kCalls));
+    EXPECT_EQ(probe.timed->count(), (kCalls + kN - 1) / kN);  // ceil(K / N)
+}
+
+TEST(ProfilerSampling, FirstCallOfAFreshSiteIsTimed) {
+    EnabledGuard guard;
+    obs::set_enabled(true);
+    SamplingProbe probe("sampling/first");
+    probe.call(1);
+    EXPECT_EQ(probe.calls->value(), 1u);
+    EXPECT_EQ(probe.timed->count(), 1u);
+    EXPECT_GT(probe.timed->sum(), 0.0);
+    // The rest of the first window is counted, not timed.
+    probe.call(static_cast<int>(obs::Profiler::kTimeEvery) - 1);
+    EXPECT_EQ(probe.timed->count(), 1u);
+    probe.call(1);
+    EXPECT_EQ(probe.timed->count(), 2u);
+}
+
+TEST(ProfilerSampling, ObsOffNeitherCountsNorTimes) {
+    EnabledGuard guard;
+    SamplingProbe probe("sampling/off");
+    obs::set_enabled(false);
+    probe.call(40);
+    obs::set_enabled(true);
+    EXPECT_EQ(probe.calls->value(), 0u);
+    EXPECT_EQ(probe.timed->count(), 0u);
+}
+
+TEST(ProfilerSampling, AttributionScalesTimedSamplesToEveryCall) {
+    EnabledGuard guard;
+    obs::set_enabled(true);
+    SamplingProbe probe("sampling/bill");
+    constexpr int kCalls = 100;
+    probe.call(kCalls);
+    obs::Snapshot snap = obs::snapshot_metrics();
+    const obs::HistogramSample* h = nullptr;
+    for (const auto& sample : snap.histograms) {
+        if (sample.name == "profile.advice_ns" &&
+            sample.label.rfind("sampling/bill|", 0) == 0) {
+            h = &sample;
+        }
+    }
+    ASSERT_NE(h, nullptr);
+    ASSERT_EQ(h->count, (kCalls + obs::Profiler::kTimeEvery - 1) / obs::Profiler::kTimeEvery);
+
+    const obs::ExtensionCost* bill = nullptr;
+    auto bills = obs::attribution_from(snap);
+    for (const auto& b : bills) {
+        if (b.extension == "sampling/bill") bill = &b;
+    }
+    ASSERT_NE(bill, nullptr);
+    EXPECT_EQ(bill->invocations, static_cast<std::uint64_t>(kCalls));
+    const double scaled = h->sum * kCalls / static_cast<double>(h->count);
+    EXPECT_DOUBLE_EQ(bill->total_ns, scaled);
+    ASSERT_EQ(bill->sites.size(), 1u);
+    EXPECT_EQ(bill->sites[0].invocations, static_cast<std::uint64_t>(kCalls));
+    EXPECT_DOUBLE_EQ(bill->sites[0].total_ns, scaled);
 }
 
 // --------------------------------------------- end-to-end: install chain ----

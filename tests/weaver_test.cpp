@@ -2,6 +2,8 @@
 // baseline, weaving into late-registered classes, and shutdown notification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "core/weaver.h"
 
@@ -262,7 +264,7 @@ TEST_F(WeaverTest, HundredAspectsWeaveIdenticallyAndWithdrawCleanly) {
     // pristine dispatch.
     std::vector<AspectId> ids;
     for (int i = 0; i < 100; ++i) {
-        auto aspect = std::make_shared<Aspect>("a" + std::to_string(i));
+        auto aspect = std::make_shared<Aspect>(std::string("a").append(std::to_string(i)));
         aspect->before("call(* Motor.*(..))", [](CallFrame&) {});
         aspect->around("call(int Sensor.read())",
                        [](CallFrame&, const std::function<Value()>& proceed) -> Value {
@@ -287,6 +289,83 @@ TEST_F(WeaverTest, HundredAspectsWeaveIdenticallyAndWithdrawCleanly) {
     EXPECT_FALSE(motor_->type().method("rotate")->woven());
     EXPECT_FALSE(sensor_->type().method("read")->woven());
     EXPECT_EQ(weaver_.woven_count(), 0u);
+}
+
+// ------------------------------------------------ advice observer, gate ----
+
+TEST_F(WeaverTest, ObserverHearsFailuresAndOnlyTheSuccessThatEndsThem) {
+    // The receiver's quarantine input, replayed at the weaver: every
+    // failure is reported, and of the successes only the first one after
+    // a failure (the one that resets a streak). Healthy dispatch never
+    // reaches the observer.
+    bool fail = false;
+    auto aspect = std::make_shared<Aspect>("flaky");
+    aspect->before("call(* Motor.rotate(..))", [&](CallFrame&) {
+        if (fail) throw ScriptError("advice broke");
+    });
+    AspectId id = weaver_.weave(aspect);
+    std::vector<std::string> heard;
+    int streak = 0, longest = 0;  // the receiver's consecutive-failure count
+    weaver_.set_advice_observer([&](AspectId who, const std::exception* error) {
+        EXPECT_EQ(who, id);
+        heard.push_back(error ? "fail" : "ok");
+        streak = error ? streak + 1 : 0;
+        longest = std::max(longest, streak);
+    });
+    auto call = [&](bool fails) {
+        fail = fails;
+        if (fails) {
+            EXPECT_THROW(motor_->call("rotate", {Value{1.0}}), ScriptError);
+        } else {
+            motor_->call("rotate", {Value{1.0}});
+        }
+    };
+
+    for (int i = 0; i < 3; ++i) call(false);
+    EXPECT_TRUE(heard.empty());
+    // fail, fail, succeed, fail, fail: never three in a row.
+    for (bool fails : {true, true, false, true, true}) call(fails);
+    EXPECT_EQ(heard, (std::vector<std::string>{"fail", "fail", "ok", "fail", "fail"}));
+    EXPECT_EQ(longest, 2);
+    // The success after that run is heard once; further ones are not.
+    call(false);
+    call(false);
+    EXPECT_EQ(heard.size(), 6u);
+    EXPECT_EQ(heard.back(), "ok");
+    // Three consecutive failures reach three.
+    for (int i = 0; i < 3; ++i) call(true);
+    EXPECT_EQ(longest, 3);
+}
+
+TEST_F(WeaverTest, ClosedGateSkipsAdviceAndIsNotAnOutcome) {
+    int ran = 0, around = 0, outcomes = 0;
+    auto aspect = std::make_shared<Aspect>("gated");
+    aspect->before("call(* Motor.rotate(..))", [&](CallFrame&) {
+        ++ran;
+        throw ScriptError("would count toward quarantine");
+    });
+    aspect->around("call(int Sensor.read())",
+                   [&](CallFrame&, const std::function<Value()>& proceed) -> Value {
+                       ++around;
+                       return proceed();
+                   });
+    AspectId id = weaver_.weave(aspect);
+    weaver_.set_advice_observer([&](AspectId, const std::exception*) { ++outcomes; });
+    bool open = false;  // a suspended extension
+    weaver_.set_dispatch_gate([&](AspectId who) { return who != id || open; });
+
+    EXPECT_EQ(motor_->call("rotate", {Value{1.0}}).as_int(), 10);
+    EXPECT_EQ(sensor_->call("read", {}).as_int(), 7);  // around passes through
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(around, 0);
+    EXPECT_EQ(outcomes, 0);
+
+    open = true;
+    EXPECT_THROW(motor_->call("rotate", {Value{1.0}}), ScriptError);
+    EXPECT_EQ(sensor_->call("read", {}).as_int(), 7);
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(around, 1);
+    EXPECT_EQ(outcomes, 2);  // the failure, then the success after it
 }
 
 }  // namespace
