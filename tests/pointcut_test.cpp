@@ -34,6 +34,12 @@ struct GlobCase {
     bool expect;
 };
 
+// Names each case by its pattern and text. Without this gtest prints the
+// struct's raw bytes, which hold string addresses that change every run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+    *os << "'" << c.pattern << "' vs '" << c.text << "'";
+}
+
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatch, Matches) {
