@@ -17,27 +17,20 @@
 //       a healthy canary to walk the 1%/10%/50%/100% ladder, and — for a
 //       poisoned canary — the rollback blast radius (nodes that ever ran
 //       the canary vs fleet size) and time-to-rollback
-//   (g) wall-clock speedup of the sharded kernel (sim/shard.h): the same
-//       per-hall event load run on 1, 2 and 4 workers; virtual-time
-//       results are identical by construction (docs/parallelism.md), so
-//       only the wall clock moves
 #include <benchmark/benchmark.h>
 
 #include "smoke.h"
 
 #include <chrono>
 #include <cstdint>
-#include <thread>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "midas/node.h"
 #include "robot/devices.h"
-#include "sim/shard.h"
 
 namespace {
 
@@ -406,50 +399,6 @@ RolloutNumbers run_rollout_fleet(int n, bool poison) {
     return out;
 }
 
-// ------------------------------------------------ parallel kernel (g) ----
-
-struct ParallelNumbers {
-    double wall_s = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t windows = 0;
-};
-
-/// One hall per shard, `n` periodic per-node duties spread across the
-/// halls, one simulated second. Each duty burns a fixed slice of CPU (a
-/// stand-in for the adoption scan + advice dispatch a real hall tick
-/// does), so the workload is compute-bound and the kernel's window
-/// barrier is what either scales or doesn't.
-ParallelNumbers run_parallel_sweep(int n, std::size_t workers) {
-    sim::ShardOptions opts;
-    opts.shards = 8;
-    opts.workers = workers;
-    opts.lookahead = milliseconds(1);
-    opts.seed = 4242;
-    sim::ShardedSimulator shards(opts);
-
-    const int per_shard = (n + static_cast<int>(opts.shards) - 1) /
-                          static_cast<int>(opts.shards);
-    for (std::size_t s = 0; s < opts.shards; ++s) {
-        sim::Simulator& sim = shards.shard(s);
-        for (int i = 0; i < per_shard; ++i) {
-            std::uint64_t h = shards.shard_seed(s, "duty") + static_cast<std::uint64_t>(i);
-            sim.schedule_every(milliseconds(10), [h]() mutable {
-                for (int k = 0; k < 200; ++k) h = fnv1a64_mix(h, static_cast<std::uint64_t>(k));
-                benchmark::DoNotOptimize(h);
-            });
-        }
-    }
-
-    ParallelNumbers out;
-    auto t0 = std::chrono::steady_clock::now();
-    shards.run_until(SimTime::zero() + seconds(1));
-    auto t1 = std::chrono::steady_clock::now();
-    out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    out.executed = shards.executed();
-    out.windows = shards.windows();
-    return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -592,30 +541,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    printf("\n(g) sharded-kernel wall-clock speedup (8 halls, 1 simulated second\n"
-           "    of periodic per-node duties; virtual time identical at every\n"
-           "    worker count, only the wall clock moves). %u hardware thread(s)\n"
-           "    detected -- speedup is capped at that:\n",
-           std::thread::hardware_concurrency());
-    printf("%8s %8s %12s %12s %10s %10s\n", "nodes", "workers", "wall", "speedup",
-           "events", "windows");
-    for (int n : smoke ? std::vector<int>{1'000} : std::vector<int>{1'000, 10'000}) {
-        double base_wall = 0;
-        std::uint64_t base_exec = 0;
-        for (std::size_t w : smoke ? std::vector<std::size_t>{1, 2}
-                                   : std::vector<std::size_t>{1, 2, 4}) {
-            ParallelNumbers p = run_parallel_sweep(n, w);
-            if (w == 1) {
-                base_wall = p.wall_s;
-                base_exec = p.executed;
-            }
-            const char* det = p.executed == base_exec ? "" : "  EVENT-COUNT MISMATCH";
-            printf("%8d %8zu %9.3f s %11.2fx %10llu %10llu%s\n", n, w, p.wall_s,
-                   base_wall / p.wall_s, static_cast<unsigned long long>(p.executed),
-                   static_cast<unsigned long long>(p.windows), det);
-        }
-    }
-
     printf("\nshape to check: (a) per-node cost stays roughly flat (the base\n"
            "pipelines installs); (b) per-extension cost is roughly constant;\n"
            "(c) latency grows with package size once serialization dominates\n"
@@ -625,7 +550,6 @@ int main(int argc, char** argv) {
            "(f) healthy rollout time is dominated by the 4 stage windows, not\n"
            "fleet size; poison blast radius stays ~1%% of the fleet (the stage-0\n"
            "cohort) with zero escapes, and rollback is a couple of keep-alive\n"
-           "periods; (g) >=2x at 4 workers on the 10^4 tier, with identical\n"
-           "event counts at every worker count.\n");
+           "periods.\n");
     return 0;
 }

@@ -9,6 +9,8 @@
 
 #include "smoke.h"
 
+#include <cstdint>
+
 #include "db/journal.h"
 #include "db/store.h"
 #include "midas/durable.h"
@@ -30,8 +32,9 @@ Value motor_action(int i) {
 db::EventStore populated(int records, int robots) {
     db::EventStore store;
     for (int i = 0; i < records; ++i) {
-        store.append("robot:" + std::to_string(i % robots), SimTime{i * 1'000'000},
-                     motor_action(i));
+        // Widen before multiplying: i * 10^6 overflows int from i = 2148.
+        store.append("robot:" + std::to_string(i % robots),
+                     SimTime{std::int64_t{i} * 1'000'000}, motor_action(i));
     }
     return store;
 }
@@ -108,8 +111,8 @@ BENCHMARK(BM_ReplayCursor)->Arg(4'000)->Arg(40'000);
 
 // ---------------------------------------------------------------------------
 // Group commit (docs/storage.md): one CRC-framed multi-record batch per
-// medium commit instead of one frame per record. Arg(0) is the per-record
-// baseline; the others are batch_bytes.
+// medium commit instead of one per record. Arg(0) is the unbatched
+// baseline (a batch of one per append); the others are batch_bytes.
 //
 // The simulated medium is RAM, so the raw CPU rate (items_per_second)
 // understates the win — a real WAL is commit-bound, not memcpy-bound. The
@@ -142,10 +145,7 @@ void BM_JournalAppend(benchmark::State& state) {
     journal.flush();
     written += disk->wal.size();
     const std::uint64_t commits =
-        cfg.batching()
-            ? obs::Registry::global().counter("db.journal.batch_flushes", "").value() -
-                  flushes0
-            : appended;
+        obs::Registry::global().counter("db.journal.batch_flushes", "").value() - flushes0;
     const double per_commit = static_cast<double>(appended) /
                               static_cast<double>(std::max<std::uint64_t>(commits, 1));
     state.SetItemsProcessed(state.iterations());

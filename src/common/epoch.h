@@ -2,19 +2,19 @@
 //
 // The weaver mutates a Method's advice tables by building a fresh table
 // aside, swapping one pointer, and *retiring* the old table here. The old
-// table cannot be freed immediately: another shard's worker may be mid-
-// dispatch through it. It can be freed once every thread that might hold
-// the pointer has passed a point where it provably holds none — a grace
-// period.
+// table cannot be freed immediately: the dispatch that retired it may be
+// advice still walking it (withdraw from inside advice), and a reader on
+// another thread may be mid-dispatch through it. It can be freed once
+// every thread that might hold the pointer has passed a point where it
+// provably holds none — a grace period.
 //
 // Quiescent-state-based flavour (QSBR): a registered thread pays nothing
-// but a thread-local depth bump per woven dispatch. Each sharded-simulator
-// worker registers a Participant and announces quiescence at every window
-// barrier (where, by construction, it executes no events and holds no
-// table pointers). A thread that owns a Simulator is enrolled too (see
-// Enrollment) and announces quiescence between events, whenever something
-// is pending. A retired table is reclaimed once every participant has
-// announced quiescence after the retirement.
+// but a thread-local depth bump per woven dispatch. A worker thread
+// registers a Participant and announces quiescence at points where it
+// holds no table pointers. A thread that owns a Simulator is enrolled
+// (see Enrollment) and announces quiescence between events, whenever
+// something is pending. A retired table is reclaimed once every
+// participant has announced quiescence after the retirement.
 //
 // Every woven dispatch holds a ReadGuard across its advice chain. On a
 // participant thread the guard is a thread-local depth count: quiescence
@@ -49,8 +49,8 @@ public:
     static EpochDomain& global();
 
     /// One registered worker thread. Construct on the worker, call
-    /// quiescent() at every window barrier, destroy when the worker
-    /// retires (destruction counts as a final quiescent state). A
+    /// quiescent() wherever it holds no table pointer, destroy when the
+    /// worker retires (destruction counts as a final quiescent state). A
     /// participant of the global domain covers its thread's ReadGuards;
     /// participants nest on one thread, innermost destroyed first
     /// (destruction restores the previous one).

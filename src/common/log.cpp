@@ -13,9 +13,10 @@ namespace pmp {
 namespace {
 
 // Per-(component family, level) storm accounting. Keyed by family, not the
-// full component, so "midas@robot:1:1" and "midas@robot:1:2" throttle
-// independently of each other only up to the family cap — a fleet-wide
-// storm from one subsystem is still one storm.
+// full component, so "midas.receiver@robot:1:1" and
+// "midas.receiver@robot:1:2" throttle independently of each other only up
+// to the family cap — a fleet-wide storm from one subsystem is still one
+// storm.
 struct StormSlot {
     SimTime window_start{};
     std::size_t emitted = 0;
@@ -29,7 +30,7 @@ std::map<std::pair<std::string, int>, StormSlot>& storm_slots() {
 
 // One lock for sink configuration, storm accounting, and emission order:
 // log volume is low (storm-guarded by design), so a single mutex keeps
-// interleaved shard workers from tearing lines or slots.
+// concurrent writers from tearing lines or slots.
 std::mutex& log_mu() {
     static std::mutex mu;
     return mu;
@@ -60,7 +61,7 @@ void Log::write(LogLevel level, SimTime when, const std::string& component,
     static const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
     auto& log = instance();
     // Log tags, metrics, and traces all share one canonical component
-    // namespace: "receiver" and "midas@robot" both resolve to
+    // namespace: "midas.receiver@robot" counts under family
     // "midas.receiver", so a log line and its metrics carry the same id.
     auto& components = obs::ComponentRegistry::global();
     std::string canonical = components.canonical(component);

@@ -2,10 +2,10 @@
 
 #include <chrono>
 
+#include "common/epoch.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "rt/epoch.h"
 
 namespace pmp::prose {
 
@@ -45,7 +45,7 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
     // `wp` is stable: each Woven is heap-pinned (unique_ptr in woven_),
     // and withdraw retires it through the epoch domain after unhooking, so
     // no hook — including a superseded snapshot still being walked on
-    // another shard — outlives its Woven.
+    // another thread — outlives its Woven.
     auto run_advice = [this, id, wp = &woven](const obs::Profiler::Site& site,
                                               const auto& fn,
                                               auto&&... args) -> decltype(auto) {
@@ -220,7 +220,7 @@ bool Weaver::withdraw(AspectId id, WithdrawReason reason) {
     // The superseded hook-table snapshots retired by remove_hooks capture
     // a pointer to this Woven; it must survive the same grace period, and
     // it was retired *after* the tables, so it is reclaimed no earlier.
-    rt::EpochDomain::global().retire([w = it->second.release()] { delete w; });
+    EpochDomain::global().retire([w = it->second.release()] { delete w; });
     woven_.erase(it);
 
     reg.histogram("weaver.withdraw_ns").observe(elapsed_ns(t0));

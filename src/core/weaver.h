@@ -92,7 +92,7 @@ private:
         /// install → verify → weave → first dispatch reads as one tree even
         /// though the dispatch happens on an unrelated application call.
         obs::TraceContext weave_ctx;
-        /// Dispatch may run on many shard workers at once; exactly one of
+        /// Dispatch may run on several threads at once; exactly one of
         /// them wins the right to record the first-dispatch instant.
         std::atomic<bool> first_dispatched{false};
         /// The last advice execution of this aspect failed: the next
@@ -110,9 +110,10 @@ private:
     IdGenerator<AspectId> ids_;
     /// Woven entries are heap-pinned: installed hooks capture a raw
     /// pointer to their Woven, and a withdrawn entry is *retired* through
-    /// rt::EpochDomain rather than deleted — a reader on another shard may
-    /// still be walking a superseded hook-table snapshot whose closures
-    /// dereference it until the grace period passes.
+    /// pmp::EpochDomain rather than deleted — a dispatch (advice that
+    /// withdraws itself, a reader on another thread) may still be walking
+    /// a superseded hook-table snapshot whose closures dereference it
+    /// until the grace period passes.
     std::map<AspectId, std::unique_ptr<Woven>> woven_;
     AdviceObserver advice_observer_;
     DispatchGate dispatch_gate_;

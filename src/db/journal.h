@@ -10,20 +10,23 @@
 // mid-append) or a corrupted tail is dropped and reported; everything
 // before it is recovered intact.
 //
-// Group commit (docs/storage.md): with a non-zero `JournalConfig`, append()
-// buffers records and flushes them as one CRC-framed multi-record batch
-// when the buffer reaches `batch_bytes` or `batch_ms` of virtual time has
-// passed since the first buffered record. A power cut mid-batch loses only
-// the unflushed group — never a previously flushed frame — and restore()
-// replays batch and per-record frames transparently, interleaved in any
-// order.
+// One on-disk grammar (docs/storage.md). Every WAL write is a CRC-framed
+// multi-record batch. Without group commit (`batch_bytes` and `batch_ms`
+// both 0) append() writes a batch of one at once, so each append is
+// durable when it returns. With group commit, append() buffers records and
+// flushes them as one batch when the buffer reaches `batch_bytes` or
+// `batch_ms` of virtual time has passed since the first buffered record.
+// A power cut mid-batch loses only the unflushed group — never a
+// previously flushed frame.
 //
-// Incremental snapshots: with `snapshot_chunk_bytes` set, compact() writes
-// the snapshot as a chain of CRC-framed chunk records (one manifest frame
-// plus N chunk frames, each independently verifiable) and keeps the
-// previous complete chain in `JournalStorage::snapshot_prev`. A corrupt
-// chunk degrades recovery to the previous chain (`snapshot_fallback`)
-// instead of discarding the snapshot wholesale.
+// Every snapshot is a chain of CRC-framed chunk records: one manifest
+// frame plus N chunk frames, each independently verifiable. With
+// `snapshot_chunk_bytes` set, compact() splits the state into chunks of
+// that size and keeps the previous complete chain in
+// `JournalStorage::snapshot_prev`; a corrupt chunk then degrades recovery
+// to the previous chain (`snapshot_fallback`) instead of discarding the
+// snapshot wholesale. With it 0 the chain has a single chunk and no
+// fallback is kept.
 //
 // Crash modelling: power_off() simulates the instant the process dies —
 // writes issued after it never reach the medium (and buffered batch
@@ -46,17 +49,17 @@ namespace pmp::db {
 /// it survives the node's destruction — the simulated disk.
 struct JournalStorage {
     std::string name;   ///< obs label, typically the node label
-    Bytes snapshot;     ///< last compacted snapshot (frame or chunk chain)
+    Bytes snapshot;     ///< last compacted snapshot (chunk chain)
     Bytes snapshot_prev;  ///< previous complete chunk chain (fallback)
-    Bytes wal;          ///< CRC-framed records appended since the snapshot
+    Bytes wal;          ///< CRC-framed batches appended since the snapshot
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over `data`. Exposed so tests can build
 /// hand-crafted frames.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Group-commit and snapshot-chunking knobs. The all-zero default is the
-/// seed behavior: one frame per record, one monolithic snapshot frame.
+/// Group-commit and snapshot-chunking knobs. The all-zero default writes
+/// each record as its own batch at once and each snapshot as one chunk.
 struct JournalConfig {
     /// Flush the pending batch once its payload reaches this size. 0
     /// disables size-based batching.
@@ -64,8 +67,8 @@ struct JournalConfig {
     /// Flush at most this long (virtual time) after the first buffered
     /// record. Requires a simulator; 0 disables the timer.
     Duration batch_ms = Duration{0};
-    /// Emit snapshots as a manifest + chunks of this size. 0 keeps the
-    /// single-frame snapshot.
+    /// Split snapshots into chunks of this size and keep the previous
+    /// chain as a fallback. 0 writes one chunk and keeps no fallback.
     std::size_t snapshot_chunk_bytes = 0;
 
     bool batching() const { return batch_bytes > 0 || batch_ms.count() > 0; }
@@ -99,12 +102,13 @@ public:
     /// Decode the medium. Total: never throws. A truncated or corrupt tail
     /// is dropped (torn final write = normal crash debris); a corrupt
     /// snapshot falls back to the previous chunk chain if one exists, else
-    /// yields no snapshot but still replays the WAL. Batch frames replay
-    /// transparently as their member records.
+    /// yields no snapshot but still replays the WAL. Each batch frame
+    /// replays as its member records.
     Restored restore() const;
 
-    /// Append one record. Without batching, writes one frame immediately.
-    /// With batching, buffers into the pending group (see flush()). Dropped
+    /// Append one record. Without batching, writes a batch of one
+    /// immediately. With batching, buffers into the pending group (see
+    /// flush()). Dropped
     /// silently when powered off (the process died; the write never reached
     /// the disk).
     void append(const rt::Value& record);
@@ -115,7 +119,7 @@ public:
     /// Atomically replace the snapshot with `state` and truncate the WAL
     /// (buffered records are folded into `state` by the caller and are
     /// discarded). Chunked mode retires the current chain to
-    /// `snapshot_prev`.
+    /// `snapshot_prev`; unchunked mode clears it.
     void compact(const rt::Value& state);
 
     /// Process death: every write after this instant is lost, including

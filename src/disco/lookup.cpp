@@ -152,7 +152,7 @@ void DiscoveryClient::note_registrar(NodeId node) {
     bool fresh = !last_seen_.contains(node);
     last_seen_[node] = router_.simulator().now();
     if (fresh) {
-        log_debug(router_.simulator().now(), "disco",
+        log_debug(router_.simulator().now(), "disco.lookup",
                   router_.network().name_of(router_.self()), " found registrar on ",
                   router_.network().name_of(node));
         auto watchers = registrar_watchers_;
@@ -168,7 +168,7 @@ void DiscoveryClient::check_timeouts() {
     }
     for (NodeId node : lost) {
         last_seen_.erase(node);
-        log_debug(now, "disco", router_.network().name_of(router_.self()),
+        log_debug(now, "disco.lookup", router_.network().name_of(router_.self()),
                   " lost registrar on ", router_.network().name_of(node));
         auto watchers = registrar_watchers_;
         for (auto& [_, fn] : watchers) fn(node, false);

@@ -122,7 +122,7 @@ Value Registrar::do_register(NodeId provider, const std::string& type, Dict attr
     services_.emplace(sid, std::move(reg));
     service_by_lease_.emplace(lease, sid);
 
-    log_debug(router_.simulator().now(), "registrar",
+    log_debug(router_.simulator().now(), "disco.registrar",
               "registered ", type, " from node ", provider.str());
     notify_watchers(item, true);
 
@@ -276,7 +276,7 @@ void Registrar::migrate_batch(NodeId target, std::vector<ServiceId> sids,
                 // Migration failed: the registrations and watches stay
                 // home (their leases are still live here), and a later
                 // rebalance can retry. Nothing was lost.
-                log_debug(router_.simulator().now(), "registrar",
+                log_debug(router_.simulator().now(), "disco.registrar",
                           "migrate batch to ", target.str(), " failed; keeping entries");
                 return;
             }
@@ -355,7 +355,7 @@ Value Registrar::do_migrate(NodeId source, const List& entries) {
         ++regs;
         notify_watchers(item, true);
     }
-    log_debug(now, "registrar", "accepted ", regs, " migrated registrations and ",
+    log_debug(now, "disco.registrar", "accepted ", regs, " migrated registrations and ",
               watches, " watches from ", source.str());
     return Value{std::move(new_leases)};
 }
@@ -441,7 +441,7 @@ void Registrar::sweep() {
     SimTime now = router_.simulator().now();
     for (auto it = services_.begin(); it != services_.end();) {
         if (it->second.expires <= now) {
-            log_debug(now, "registrar", "lease expired for ", it->second.item.type,
+            log_debug(now, "disco.registrar", "lease expired for ", it->second.item.type,
                       " from node ", it->second.item.provider.str());
             auto doomed = it++;
             remove_registration(doomed, /*notify=*/true);

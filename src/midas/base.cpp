@@ -101,7 +101,7 @@ void ExtensionBase::recover() {
         } catch (const std::exception& e) {
             // CRC-valid but schema-invalid (should not happen): drop the
             // one policy rather than refuse to boot.
-            log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+            log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                      "recovered policy '", name, "' unreadable: ", e.what());
         }
     }
@@ -122,7 +122,7 @@ void ExtensionBase::recover() {
 
     if (had_life) {
         record("recover", "", "");
-        log_info(rpc_.router().simulator().now(), "base@" + config_.issuer,
+        log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                  "recovered journal: epoch ", epoch_, ", ", policy_.size(), " policies, ",
                  adapted_.size(), " adapted nodes, ", st.events.size(), " hall records");
         obs::TraceBuffer::global().end_span(
@@ -313,7 +313,7 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
     adapted_nodes_g_->set(static_cast<std::int64_t>(adapted_.size()));
     if (fresh) {
         record("adapt", label, "");
-        log_info(now, "base@" + config_.issuer, "adapting node ", label);
+        log_info(now, "midas.base@" + config_.issuer, "adapting node ", label);
     }
     if (fresh || restamped) {
         journal(BaseDurableState::rec_adapt(node.value, label, it->second.since));
@@ -333,7 +333,7 @@ bool ExtensionBase::release_node(const std::string& label) {
         breaker_.forget(it->second.node);
         cell_forget(it->second);
         record("handoff", label, "");
-        log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "node ",
+        log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
                  label, " handed off to a neighbouring base");
         adapted_.erase(it);
         journal(BaseDurableState::rec_node_gone(label));
@@ -379,7 +379,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
     }
     auto policy_it = policy_.find(name);
     if (policy_it == policy_.end()) {
-        log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+        log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                  "policy references unknown extension '", name, "'");
         return;
     }
@@ -457,14 +457,14 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
                     // its retry-after hint if it is the later bound.
                     overloaded = true;
                     if (e.retry_after() > backoff) backoff = e.retry_after();
-                    log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " shed: ", e.what());
                 } catch (const std::exception& e) {
                     quarantine_refusal =
                         std::string_view{e.what()}.find("quarantined") !=
                         std::string_view::npos;
-                    log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " failed: ", e.what());
                 }
@@ -619,13 +619,13 @@ void ExtensionBase::attach_cell(const std::string& cell, NodeId relay) {
         if (a.cell == cell) cs.members.insert(node);
     }
     cells_[cell] = std::move(cs);
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer,
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
              "cell '", cell, "' attached; batching keep-alives via relay");
 }
 
 void ExtensionBase::detach_cell(const std::string& cell) {
     if (cells_.erase(cell) == 0) return;
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "cell '",
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "cell '",
              cell, "' detached; members fall back to direct keep-alives");
 }
 
@@ -764,7 +764,7 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
                 // its batching: detach, fall back to direct keep-alives.
                 if (++cs.failures > config_.max_keepalive_failures) {
                     log_warn(rpc_.router().simulator().now(),
-                             "base@" + config_.issuer, "cell '", cell,
+                             "midas.base@" + config_.issuer, "cell '", cell,
                              "' relay unresponsive; detaching");
                     detach_cell(cell);
                 }
@@ -947,7 +947,7 @@ void ExtensionBase::drop_node(NodeId node) {
     cell_forget(it->second);
     std::string label = it->second.label;
     record("node-gone", label, "");
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "node ",
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
              label, " left; stopping keep-alives");
     adapted_.erase(it);
     journal(BaseDurableState::rec_node_gone(label));

@@ -43,10 +43,10 @@ struct BaseConfig {
     Duration install_backoff_max = seconds(10);
     double install_backoff_jitter = 0.2;
     std::uint64_t backoff_seed = 0x51ee7ULL;  ///< jitter rng stream
-    /// WAL frames between snapshot compactions (when journaling).
+    /// WAL records between snapshot compactions (when journaling).
     std::size_t journal_compact_threshold = 256;
     /// Group-commit / chunked-snapshot knobs applied to the base's journal
-    /// (docs/storage.md). All-zero keeps the seed per-record behavior.
+    /// (docs/storage.md). All-zero commits each record as its own batch.
     db::JournalConfig journal;
     /// Chunk size for the streaming catch-up image served under the
     /// "midas.catchup" object (docs/recovery.md). The image is policy-only

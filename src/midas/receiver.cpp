@@ -80,7 +80,7 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
     host_builtins_.add("log.info", "log", [this](List& args) -> Value {
         std::string line;
         for (const Value& v : args) line += v.is_str() ? v.as_str() : v.to_string();
-        log_info(rpc_.router().simulator().now(), "ext@" + config_.node_label, line);
+        log_info(rpc_.router().simulator().now(), "midas.ext@" + config_.node_label, line);
         return Value{};
     });
 
@@ -120,7 +120,7 @@ void AdaptationService::recover() {
              {"manifest", std::to_string(recovered_manifest_.size())},
              {"quarantined", std::to_string(quarantined_.size())},
              {"skipped", std::to_string(st.skipped_records)}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "recovered journal: ", recovered_manifest_.size(),
                  " extensions were installed, ", quarantined_.size(), " quarantined");
     }
@@ -245,7 +245,7 @@ void AdaptationService::governor_escalate(ExtensionId id, GovernorState& st,
          {"pkg", name},
          {"steps", std::to_string(st.window_steps)},
          {"invocations", std::to_string(st.window_invocations)}});
-    log_warn(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_warn(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "governor: ", verb, " '", name, "' (", st.window_steps, " steps, ",
              st.window_invocations, " invocations this lease window)");
 }
@@ -297,7 +297,7 @@ void AdaptationService::quarantine(ExtensionId id) {
         {{"node", config_.node_label},
          {"pkg", info.name},
          {"version", std::to_string(info.version)}});
-    log_warn(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_warn(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "quarantining '", info.name, "' v", info.version,
              " after ", config_.quarantine_after, " consecutive advice failures");
     // Black box: freeze the flight recorder's tail — the events leading up
@@ -324,7 +324,7 @@ bool AdaptationService::unquarantine(const std::string& name, std::uint32_t vers
         {{"node", config_.node_label},
          {"pkg", name},
          {"version", std::to_string(version)}});
-    log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "quarantine lifted for '", name, "' v", version);
     journal(ReceiverDurableState::rec_unquarantine(name, version));
     return true;
@@ -456,7 +456,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
-        log_warn(now, "midas@" + config_.node_label, "rejected package: ", e.what());
+        log_warn(now, "midas.receiver@" + config_.node_label, "rejected package: ", e.what());
         throw;
     } catch (const std::exception& e) {
         // A non-Error escape (hostile package tripping the allocator, a
@@ -468,7 +468,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
-        log_warn(now, "midas@" + config_.node_label, "rejected package: ", e.what());
+        log_warn(now, "midas.receiver@" + config_.node_label, "rejected package: ", e.what());
         throw Error(e.what());
     }
     trace.end_span(verify_span, {{"ok", "true"}, {"pkg", pkg.name}, {"issuer", sig.issuer}});
@@ -662,7 +662,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
                    {"version", std::to_string(pkg.version)},
                    {"issuer", sig.issuer}});
     emit("install", installed_.at(id).info);
-    log_info(now, "midas@" + config_.node_label, "installed '", pkg.name, "' v",
+    log_info(now, "midas.receiver@" + config_.node_label, "installed '", pkg.name, "' v",
              pkg.version, " from ", sig.issuer);
 
     Dict out{{"ext", Value{static_cast<std::int64_t>(id.value)}},
@@ -712,7 +712,7 @@ void AdaptationService::arm_expiry(ExtensionId id, Duration lease) {
         obs::TraceBuffer::global().instant(
             "midas.receiver", "lease.expire",
             {{"node", config_.node_label}, {"pkg", info.name}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "lease expired, withdrawing '", info.name, "'");
         withdraw(id, prose::WithdrawReason::kLeaseExpired);
         emit("expire", info);
@@ -738,7 +738,7 @@ bool AdaptationService::do_keepalive(std::uint64_t ext, std::int64_t lease_ms,
              {"pkg", info.name},
              {"leased_epoch", std::to_string(info.base_epoch)},
              {"seen_epoch", std::to_string(epoch)}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "base epoch moved ", info.base_epoch, " -> ", epoch,
                  "; withdrawing stale '", info.name, "'");
         withdraw(id, prose::WithdrawReason::kBaseRestarted);

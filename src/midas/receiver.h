@@ -52,7 +52,7 @@ struct ReceiverConfig {
     std::string cell;
     Duration max_extension_lease = seconds(5);  ///< grants clamped to this
     /// Group-commit / chunked-snapshot knobs for the receiver's journal
-    /// (docs/storage.md); all-zero keeps the seed per-record behavior.
+    /// (docs/storage.md); all-zero commits each record as its own batch.
     db::JournalConfig journal;
     /// Bounds for the install-path compile/pointcut caches: one entry per
     /// *distinct* script or pointcut source, evicted least-recently-used.

@@ -220,7 +220,7 @@ void RolloutController::begin(ExtensionPackage pkg, Bytes sealed, std::string ha
          {"version", std::to_string(live.pkg.version)},
          {"incumbent", std::to_string(live.incumbent_version)},
          {"stages", std::to_string(live.stages_bp.size())}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", live.name, "' v", live.pkg.version, " begins: ",
              live.stages_bp.size(), " stages, incumbent v", live.incumbent_version);
     capture_stage_baselines(live);
@@ -283,7 +283,7 @@ void RolloutController::adopt(const BaseDurableState::RolloutEntry& entry) {
         capture_stage_baselines(it->second);
         open_stage_span(it->second);
         arm_timer();
-        log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+        log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
                  "resuming rollout of '", name, "' at stage ", it->second.stage);
     }
     update_gauges();
@@ -559,7 +559,7 @@ void RolloutController::promote(Rollout& r) {
         {{"pkg", r.name},
          {"stage", std::to_string(r.stage)},
          {"fraction", std::to_string(r.stages_bp[r.stage] / 10000.0)}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' promoted to stage ", r.stage, " (",
              r.stages_bp[r.stage] / 100, "% of fleet)");
     capture_stage_baselines(r);
@@ -590,7 +590,7 @@ void RolloutController::complete(Rollout& r) {
     obs::TraceBuffer::global().instant(
         "midas.rollout", "rollout.complete",
         {{"pkg", r.name}, {"version", std::to_string(r.pkg.version)}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' v", r.pkg.version, " complete");
 
     // Stragglers that never confirmed the canary (the completion quota is a
@@ -621,7 +621,7 @@ void RolloutController::abort(Rollout& r, const std::string& cause) {
         {{"pkg", r.name},
          {"stage", std::to_string(r.stage)},
          {"cause", cause}});
-    log_warn(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_warn(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' v", r.pkg.version, " ABORTED at stage ",
              r.stage, ": ", cause, "; rolling back to v", r.incumbent_version);
 

@@ -136,11 +136,11 @@ public:
 
     /// Override the per-link stream key. By default streams derive from
     /// NodeId values, which are allocation-ordered: the same logical world
-    /// built across a different shard layout assigns different ids and so
-    /// draws different fault patterns. Installing a resolver that returns
-    /// a *stable* key (the Network installs the FNV-1a hash of the node's
+    /// built in a different order assigns different ids and so draws
+    /// different fault patterns. Installing a resolver that returns a
+    /// *stable* key (the Network installs the FNV-1a hash of the node's
     /// name) makes each directed link's stream a pure function of
-    /// (seed, names) — identical at any shard or worker count. Affects
+    /// (seed, names), whatever the construction order. Affects
     /// links on first use, so install before traffic flows; direct users
     /// of the id-derived default are unchanged.
     void set_key_fn(std::function<std::uint64_t(NodeId)> fn) { key_fn_ = std::move(fn); }

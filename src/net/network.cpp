@@ -18,7 +18,7 @@ double Position::distance_to(const Position& other) const {
 
 namespace {
 std::string next_net_label() {
-    // Atomic: shard worlds construct their Networks concurrently.
+    // Atomic, so Networks may be built on any thread.
     static std::atomic<int> seq{0};
     return "net" + std::to_string(seq.fetch_add(1, std::memory_order_relaxed) + 1);
 }
@@ -28,7 +28,7 @@ Network::Network(sim::Simulator& sim, NetworkConfig config, std::uint64_t seed)
     : sim_(sim),
       config_(config),
       rng_(seed),
-      obs_label_(config.obs_label.empty() ? next_net_label() : config.obs_label),
+      obs_label_(next_net_label()),
       sent_("net.sent", obs_label_),
       delivered_("net.delivered", obs_label_),
       dropped_out_of_range_("net.dropped_range", obs_label_),
@@ -92,8 +92,8 @@ void Network::set_fault_plan(FaultPlan plan, std::uint64_t seed) {
     }
     injector_ = std::make_unique<FaultInjector>(std::move(plan), seed);
     // Key link streams by stable node names: the same logical link draws
-    // the same fault pattern however ids were allocated (shard layouts
-    // build their node subsets in different orders).
+    // the same fault pattern however ids were allocated (a world may add
+    // its nodes in a different order).
     injector_->set_key_fn([this](NodeId id) {
         const auto* n = find(id);
         return n ? fnv1a64(n->name) : id.value;
@@ -166,27 +166,6 @@ Position Network::position_of(NodeId id) const {
 std::string Network::name_of(NodeId id) const {
     const auto* node = find(id);
     return node ? node->name : "<gone>";
-}
-
-std::optional<NodeId> Network::find_node(const std::string& name) const {
-    for (const auto& [id, node] : nodes_) {
-        if (!node.removed && node.name == name) return id;
-    }
-    return std::nullopt;
-}
-
-bool Network::deliver_local(const Message& msg) {
-    auto it = nodes_.find(msg.to);
-    if (it == nodes_.end() || it->second.removed || !it->second.handler) {
-        dropped_out_of_range_.inc();
-        return false;
-    }
-    delivered_.inc();
-    bytes_delivered_.inc(msg.wire_size());
-    obs::TraceBuffer::ContextScope scope(obs::TraceBuffer::global(), msg.trace);
-    if (it->second.tap) it->second.tap(msg);
-    it->second.handler(msg);
-    return true;
 }
 
 void Network::add_wire(NodeId a, NodeId b) {

@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -64,11 +63,6 @@ struct NetworkConfig {
     Duration jitter = microseconds(200);         ///< uniform in [0, jitter]
     double loss_probability = 0.0;               ///< per-message drop chance
     double duplicate_probability = 0.0;          ///< per-message dup chance
-    /// Explicit obs label (metrics family + trace kv). Empty = the next
-    /// process-wide "netN". Worlds that must render byte-identical traces
-    /// across runs (the determinism gate) set this: the auto counter keeps
-    /// advancing per process, so "netN" differs run to run.
-    std::string obs_label;
 };
 
 /// Legacy stats view for tests and benchmarks. The authoritative counters
@@ -131,10 +125,6 @@ public:
     Position position_of(NodeId id) const;
     std::string name_of(NodeId id) const;
 
-    /// Resolve a node by its attached name (linear; directory lookups are
-    /// control-plane, not per-message). Tombstoned nodes do not match.
-    std::optional<NodeId> find_node(const std::string& name) const;
-
     /// Connect two nodes with a wired link: they stay in contact regardless
     /// of position (the backbone between base stations of adjacent halls).
     void add_wire(NodeId a, NodeId b);
@@ -154,14 +144,6 @@ public:
     /// Broadcast to every node currently in contact with the sender.
     /// Returns the number of deliveries scheduled.
     std::size_t broadcast(NodeId from, const std::string& kind, Bytes payload);
-
-    /// Local ingress for frames that arrive from outside this radio — the
-    /// cross-shard backbone (net::ShardMesh) terminates here. Runs the tap
-    /// and handler inline under the message's causal context, bypassing
-    /// contact/fault checks (those belong to the medium the frame actually
-    /// crossed). `msg.from` may name a node of another network. Returns
-    /// false (counted as a range drop) if the target is gone or mute.
-    bool deliver_local(const Message& msg);
 
     /// Install a fault plan: from now on every send/delivery is judged by
     /// a FaultInjector seeded with `seed` (deterministic per seed). Each

@@ -28,17 +28,10 @@ std::size_t MessageRouter::broadcast(const std::string& kind, Bytes payload) {
     return network_.broadcast(self_, kind, std::move(payload));
 }
 
-bool MessageRouter::send_remote(std::size_t dst_shard, const std::string& to_name,
-                                const std::string& kind, Bytes payload) {
-    if (mesh_ == nullptr) return false;
-    return mesh_->send(my_shard_, dst_shard, network_.name_of(self_), to_name, kind,
-                       std::move(payload));
-}
-
 void MessageRouter::dispatch(const Message& msg) {
     auto it = handlers_.find(msg.kind);
     if (it == handlers_.end()) {
-        log_debug(network_.simulator().now(), "router",
+        log_debug(network_.simulator().now(), "net.router",
                   network_.name_of(self_), " dropped unrouted kind '", msg.kind, "'");
         return;
     }
@@ -52,7 +45,7 @@ void MessageRouter::dispatch(const Message& msg) {
         static obs::Counter& handler_errors =
             obs::Registry::global().counter("net.router.handler_errors");
         handler_errors.inc();
-        log_warn(network_.simulator().now(), "router", network_.name_of(self_),
+        log_warn(network_.simulator().now(), "net.router", network_.name_of(self_),
                  " handler for '", msg.kind, "' threw: ", e.what());
     }
 }

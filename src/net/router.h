@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "net/admission.h"
-#include "net/mesh.h"
 #include "net/network.h"
 
 namespace pmp::net {
@@ -29,20 +28,6 @@ public:
     bool send(NodeId to, const std::string& kind, Bytes payload);
     std::size_t broadcast(const std::string& kind, Bytes payload);
 
-    /// Join the cross-shard backbone: after this, send_remote() reaches
-    /// nodes on other shards by name. The mesh must outlive the router
-    /// (both are world-scoped; nothing is registered mesh-side, so there
-    /// is no detach).
-    void attach_mesh(ShardMesh& mesh, std::size_t my_shard) {
-        mesh_ = &mesh;
-        my_shard_ = my_shard;
-    }
-
-    /// Send to a named node on another shard over the backbone. Returns
-    /// false when no mesh is attached or the backbone dropped the frame.
-    bool send_remote(std::size_t dst_shard, const std::string& to_name,
-                     const std::string& kind, Bytes payload);
-
     NodeId self() const { return self_; }
     Network& network() { return network_; }
     sim::Simulator& simulator() { return network_.simulator(); }
@@ -61,8 +46,6 @@ private:
     NodeId self_;
     AdmissionQueue admission_;
     std::unordered_map<std::string, Handler> handlers_;
-    ShardMesh* mesh_ = nullptr;  ///< null until attach_mesh
-    std::size_t my_shard_ = 0;
 };
 
 }  // namespace pmp::net

@@ -9,50 +9,14 @@ ComponentRegistry& ComponentRegistry::global() {
     return registry;
 }
 
-ComponentRegistry::ComponentRegistry() {
-    // Legacy log tags used across the seed tree -> canonical dotted names.
-    alias("rpc", "rt.rpc");
-    alias("router", "net.router");
-    alias("net", "net.network");
-    alias("disco", "disco.lookup");
-    alias("registrar", "disco.registrar");
-    alias("tspace-pull", "tspace.pull");
-    alias("tspace", "tspace.space");
-    alias("midas", "midas.receiver");
-    alias("receiver", "midas.receiver");
-    alias("ext", "midas.ext");
-    alias("base", "midas.base");
-    alias("weaver", "prose.weaver");
-    alias("robot", "robot.controller");
-}
-
-void ComponentRegistry::alias(std::string_view tag, std::string_view canonical_name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [t, c] : aliases_) {
-        if (t == tag) {
-            c = std::string(canonical_name);
-            return;
-        }
-    }
-    aliases_.emplace_back(std::string(tag), std::string(canonical_name));
-}
-
 std::string ComponentRegistry::canonical(std::string_view tag) const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string_view base = tag;
     std::string_view instance;
     if (auto at = tag.find('@'); at != std::string_view::npos) {
         base = tag.substr(0, at);
         instance = tag.substr(at + 1);
     }
-    std::string_view mapped = base;
-    for (const auto& [t, c] : aliases_) {
-        if (t == base) {
-            mapped = c;
-            break;
-        }
-    }
-    std::string out(mapped);
+    std::string out(base);
     if (!instance.empty()) {
         out += '@';
         out += instance;

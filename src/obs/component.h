@@ -1,12 +1,11 @@
 // Canonical component names shared by logs, metrics, and traces.
 //
-// Historically every subsystem invented its own log tag ("receiver",
-// "midas@robot", "rpc") while metrics would want dotted hierarchical names
-// ("midas.receiver"). This registry is the single authority: it maps legacy
-// aliases onto canonical dotted names, splits off per-instance suffixes
-// ("base@hall" -> component "midas.base", instance "hall"), and interns
-// each canonical name to a small integer id so a log line and its metrics
-// provably refer to the same component.
+// Every log tag is a dotted hierarchical name ("midas.receiver", "rt.rpc"),
+// the same name the component's metrics and trace events use, optionally
+// followed by a per-instance suffix ("midas.base@hall"). This registry
+// splits off that suffix (component "midas.base", instance "hall") and
+// interns each canonical name to a small integer id so a log line and its
+// metrics provably refer to the same component.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pmp::obs {
 
@@ -22,11 +20,10 @@ class ComponentRegistry {
 public:
     static ComponentRegistry& global();
 
-    /// Canonical form of a raw tag. An "@instance" suffix is preserved:
-    /// only the part before '@' is run through the alias table.
-    ///   "receiver"   -> "midas.receiver"
-    ///   "base@hall"  -> "midas.base@hall"
-    ///   "rt.rpc"     -> "rt.rpc" (already canonical; unknown tags pass through)
+    /// Canonical form of a raw tag: the tag itself, minus an empty "@"
+    /// suffix. Call sites use canonical names, so tags pass through.
+    ///   "midas.base@hall" -> "midas.base@hall"
+    ///   "midas.base@"     -> "midas.base"
     std::string canonical(std::string_view tag) const;
 
     /// Canonical name with any "@instance" suffix removed — the metric
@@ -39,21 +36,16 @@ public:
     /// Name for an interned id ("?" if out of range).
     const std::string& name(std::uint32_t id) const;
 
-    /// Register an alias (legacy tag -> canonical). Later registrations
-    /// overwrite earlier ones; the built-in table covers the seed tree.
-    void alias(std::string_view tag, std::string_view canonical_name);
-
     std::size_t interned() const {
         std::lock_guard<std::mutex> lock(mu_);
         return names_.size();
     }
 
 private:
-    ComponentRegistry();
+    ComponentRegistry() = default;
 
-    /// Guards both tables: log lines arrive from every shard worker.
+    /// Guards the intern table: a log line may come from any thread.
     mutable std::mutex mu_;
-    std::vector<std::pair<std::string, std::string>> aliases_;  // tag -> canonical
     /// deque, not vector: name() hands out references that must survive
     /// a concurrent intern.
     std::deque<std::string> names_;  // id -> canonical

@@ -76,8 +76,8 @@ public:
     static constexpr std::size_t kMaxDumps = 32;
 
 private:
-    /// Crashes and quarantines can fire from any shard worker; the black
-    /// box is one shared ring, so it locks (it is never on a hot path).
+    /// Crashes and quarantines can fire from any thread; the black box is
+    /// one shared ring, so it locks (it is never on a hot path).
     mutable std::mutex mu_;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;

@@ -6,10 +6,10 @@
 // Metrics are keyed by a dotted `component.name` plus an optional label
 // (per-aspect, per-node, per-network). Recording is one relaxed atomic
 // increment behind one global enable flag: cheap enough to live on the
-// interception hot path even when the sharded simulator records from
-// several worker threads at once (relaxed suffices — counters are summed,
-// never ordered against other memory), and the flag lets benchmarks price
-// the instrumentation itself (enabled vs. compiled-in-but-idle).
+// interception hot path even when several threads record at once (relaxed
+// suffices — counters are summed, never ordered against other memory), and
+// the flag lets benchmarks price the instrumentation itself (enabled vs.
+// compiled-in-but-idle).
 //
 // Lifetime: metrics obtained through `Registry::counter()` (and friends)
 // are pinned — they live as long as the registry. Per-instance metrics
@@ -80,7 +80,7 @@ private:
 /// which is exact enough for latency reporting (p50/p95/p99) without ever
 /// storing samples.
 /// Lock-free: every bucket and the sum are relaxed atomics, so concurrent
-/// shard workers record without serializing and no sample is lost. The
+/// threads record without serializing and no sample is lost. The
 /// count is the sum of the buckets, never a separate field, so a reader
 /// that takes one `buckets()` snapshot gets a count consistent with it
 /// (readers racing writers see some prefix of the in-flight samples).

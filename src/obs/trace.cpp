@@ -50,9 +50,9 @@ void TraceBuffer::push(TraceEvent ev) {
         ++size_;
     }
     // Only the process-wide root buffer feeds the flight recorder; scratch
-    // buffers in tests and per-shard buffers stay out of the black box.
-    // (Compared against root(), not global(): a thread-local redirect must
-    // not accidentally feed its shard's events into the black box.)
+    // and redirected buffers stay out of the black box. (Compared against
+    // root(), not global(): a thread-local redirect must not accidentally
+    // feed its events into the black box.)
     if (this == &TraceBuffer::root()) FlightRecorder::global().observe(ev);
     ring_[head_] = std::move(ev);
     head_ = (head_ + 1) % ring_.size();
@@ -79,20 +79,20 @@ TraceContext TraceBuffer::context_of(std::uint64_t span) const {
 
 TraceContext TraceBuffer::new_root() {
     if (!detail::g_enabled) return TraceContext{};
-    return TraceContext{id_base_ + ++next_trace_, 0};
+    return TraceContext{++next_trace_, 0};
 }
 
 std::uint64_t TraceBuffer::begin_span_at(SimTime at, std::string component, std::string name,
                                          KeyValues kv) {
     if (!detail::g_enabled) return 0;
-    std::uint64_t id = id_base_ + ++next_span_;
+    std::uint64_t id = ++next_span_;
     TraceEvent ev{at,  EventKind::kSpanBegin,    id, 0, 0, std::move(component),
                   std::move(name), std::move(kv)};
     if (current_.valid()) {
         ev.trace = current_.trace_id;
         ev.parent = current_.parent_span;
     } else {
-        ev.trace = id_base_ + ++next_trace_;  // no caller: this span roots a new trace
+        ev.trace = ++next_trace_;  // no caller: this span roots a new trace
     }
     open_spans_.emplace(id, OpenSpan{ev.trace, ev.parent, head_});
     push(std::move(ev));

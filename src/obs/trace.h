@@ -66,22 +66,20 @@ struct TraceEvent {
 };
 
 /// A TraceBuffer is confined to one thread at a time: the root buffer to
-/// whichever thread runs the sequential world (or the sharded kernel's
-/// coordinator), a shard's buffer to whichever worker is running that
-/// shard's window. The window barrier publishes writes between owners, so
-/// the buffer itself carries no locks.
+/// whichever thread runs the simulated world, a redirected buffer to the
+/// thread that installed the Redirect. The buffer itself carries no locks.
 class TraceBuffer {
 public:
     explicit TraceBuffer(std::size_t capacity = 1024);
 
-    /// The thread's redirect target when one is installed (sharded
-    /// workers), else the process-wide root buffer.
+    /// The thread's redirect target when one is installed, else the
+    /// process-wide root buffer.
     static TraceBuffer& global();
 
     /// While alive, TraceBuffer::global() *on this thread* resolves to
-    /// `target` — how a simulation shard records into its own buffer
-    /// without threading a TraceBuffer& through every subsystem. Nests
-    /// (strictly scoped, per thread).
+    /// `target` — how a harness records a program's events into its own
+    /// buffer without threading a TraceBuffer& through every subsystem.
+    /// Nests (strictly scoped, per thread).
     class Redirect {
     public:
         explicit Redirect(TraceBuffer& target);
@@ -92,12 +90,6 @@ public:
     private:
         TraceBuffer* saved_;
     };
-
-    /// Partition span/trace ids: every id handed out after this call is
-    /// `base + n`. Each shard's buffer gets a disjoint namespace so merged
-    /// causal trees never collide; the base survives clear().
-    void set_id_namespace(std::uint64_t base) { id_base_ = base; }
-    std::uint64_t id_namespace() const { return id_base_; }
 
     /// Begin a span; returns its id for end_span. Timestamps come from the
     /// installed clock (the live simulator); SimTime::zero() without one.
@@ -197,7 +189,6 @@ private:
     std::uint64_t orphan_ends_ = 0;
     std::uint64_t next_span_ = 0;
     std::uint64_t next_trace_ = 0;
-    std::uint64_t id_base_ = 0;  ///< namespace offset; survives clear()
     TraceContext current_;
     std::map<std::uint64_t, OpenSpan> open_spans_;  ///< bounded by ring capacity
     bool detail_ = false;

@@ -2,9 +2,9 @@
 
 #include <sstream>
 
+#include "common/epoch.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "rt/epoch.h"
 #include "rt/object.h"
 
 namespace pmp::rt {

@@ -133,9 +133,10 @@ bool remove_owner(HookTable<Fn>& slots, HookOwner owner) {
 /// The complete advice state of one Method, published behind a single
 /// atomic pointer (RCU). Snapshots are immutable once published: the
 /// weaver copies the current snapshot, edits the copy, swaps the pointer,
-/// and retires the old snapshot through rt::EpochDomain — so dispatch on
-/// another shard can keep walking the old table through the grace period
-/// while weave/withdraw proceed. nullptr stands for "no advice" and keeps
+/// and retires the old snapshot through pmp::EpochDomain — so a dispatch
+/// still walking the old table (advice that withdraws itself, a reader on
+/// another thread) keeps it through the grace period while weave/withdraw
+/// proceed. nullptr stands for "no advice" and keeps
 /// the un-woven minimal hook a single load + branch.
 struct AdviceTables {
     HookTable<EntryHook> entry;
@@ -199,8 +200,8 @@ public:
     // --- hook management (used by pmp::prose::Weaver) ---
     // Mutations follow the RCU discipline (copy, edit, publish, retire).
     // Contract: a single mutator per Method at a time — the weaver that
-    // owns the node's runtime, running on that node's shard. Concurrent
-    // *dispatch* from any thread is safe.
+    // owns the node's runtime, on the thread that runs its simulator.
+    // Concurrent *dispatch* from any thread is safe.
     void add_entry_hook(HookOwner owner, int priority, EntryHook fn);
     void add_exit_hook(HookOwner owner, int priority, ExitHook fn);
     void add_error_hook(HookOwner owner, int priority, ErrorHook fn);

@@ -31,7 +31,7 @@ public:
     void clear();
 
     /// Marker call sites use this; near-free while nothing is armed (one
-    /// relaxed atomic load — markers run on every shard worker).
+    /// relaxed atomic load).
     static void hit(const std::string& node, const std::string& point) {
         FailPoints& fp = global();
         if (fp.armed_count_.load(std::memory_order_relaxed) != 0) fp.fire(node, point);

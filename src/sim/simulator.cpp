@@ -9,8 +9,8 @@
 namespace pmp::sim {
 
 Simulator::Simulator() {
-    // Bind to the thread's current buffer, not root(): a shard simulator
-    // constructed under a TraceBuffer::Redirect clocks its own shard buffer.
+    // Bind to the thread's current buffer, not root(): a simulator
+    // constructed under a TraceBuffer::Redirect clocks the redirected buffer.
     trace_buffer_ = &obs::TraceBuffer::global();
     trace_clock_token_ = trace_buffer_->set_clock([this]() { return now_; });
 }
@@ -139,9 +139,7 @@ SimTime Simulator::next_event_time() {
 
 std::size_t Simulator::run_window(SimTime horizon) {
     // Strictly-before: an event at exactly `horizon` belongs to the next
-    // window, after the barrier has drained cross-shard mailboxes whose
-    // messages may land at that same instant (and must keep the global
-    // (time, seq) FIFO order with it).
+    // window, so all events at one instant run in the same window.
     std::size_t executed = 0;
     while (next_event_time() < horizon) {
         if (fire_next()) ++executed;

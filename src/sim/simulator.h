@@ -6,11 +6,10 @@
 // in scheduling order (FIFO), which makes whole-system runs deterministic
 // for a fixed seed.
 //
-// A Simulator is single-threaded by design; wall-clock parallelism comes
-// from running *several* simulators as shards under sim::ShardedSimulator
-// (see shard.h), which drives each one through bounded time windows via
-// run_window()/advance_to() and never touches two from different threads
-// without a barrier in between.
+// A Simulator is single-threaded by design: one thread owns it and runs
+// every event. Besides run()/run_until(), a caller can step it through
+// bounded time windows with run_window()/advance_to() and count the events
+// each window executed.
 #pragma once
 
 #include <cstdint>
@@ -94,24 +93,21 @@ public:
     void run_for(Duration d);
 
     /// Time of the earliest live (non-cancelled) pending event, or
-    /// SimTime::max() when the queue is empty. The sharded kernel's
-    /// conservative synchronizer computes each window edge from the minimum
-    /// of this across shards. Pops tombstones encountered at the top, so
-    /// amortized cost stays with the cancels that created them.
+    /// SimTime::max() when the queue is empty. Pops tombstones encountered
+    /// at the top, so amortized cost stays with the cancels that created
+    /// them.
     SimTime next_event_time();
 
     /// Run every event with `when` strictly before `horizon`, leaving
     /// events at exactly `horizon` queued for the next window. Does NOT
     /// advance now() past the last fired event — the caller advances the
-    /// clock explicitly (advance_to) once the window barrier commits, which
-    /// keeps "events < horizon fired, now() <= horizon" an invariant the
-    /// sharded kernel can assert. Returns the number of events executed.
+    /// clock explicitly (advance_to) when the window closes, which keeps
+    /// "events < horizon fired, now() <= horizon" an invariant. Returns the
+    /// number of events executed.
     std::size_t run_window(SimTime horizon);
 
     /// Move the clock forward to `t` without running anything (no-op if
-    /// now() >= t already). Window barriers use this to line every shard
-    /// up on the same instant before the next window's sends clamp against
-    /// now() + lookahead.
+    /// now() >= t already). Closes a run_window() at the window's edge.
     void advance_to(SimTime t);
 
     /// Number of events currently pending.

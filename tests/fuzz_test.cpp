@@ -200,9 +200,9 @@ TEST_P(FuzzSweep, JournalRestoreIsTotal) {
 }
 
 TEST_P(FuzzSweep, JournalBatchAndChunkRestoreIsTotal) {
-    // Group-commit batches and chunked snapshot chains widen the on-disk
-    // grammar; restore() must stay total over all of it. Damage is
-    // reported through the typed Restored fields, never thrown.
+    // Multi-record batches and multi-chunk snapshot chains; restore()
+    // must stay total over all of it. Damage is reported through the
+    // typed Restored fields, never thrown.
     Rng rng(GetParam());
 
     auto build = [&](bool interleave) {
@@ -216,7 +216,7 @@ TEST_P(FuzzSweep, JournalBatchAndChunkRestoreIsTotal) {
             j.flush();
         }
         if (interleave) {
-            db::Journal legacy(disk);  // single-record frames between batches
+            db::Journal legacy(disk);  // batches of one between group commits
             legacy.append(rt::Value{std::int64_t{100}});
             db::Journal batched(disk, db::JournalConfig{.batch_bytes = 96});
             for (std::int64_t n = 0; n < 4; ++n) batched.append(rt::Value{n});

@@ -118,7 +118,7 @@ TEST(Journal, PowerOffLosesSubsequentWrites) {
 
 // ---------------------------------------------------------------------------
 // Group commit: size/time-bounded batches, torn-group semantics, and
-// transparent interleaving with legacy per-record frames (docs/storage.md).
+// interleaving with unbatched writers' batches of one (docs/storage.md).
 
 TEST(JournalGroupCommit, SizeBoundedBatchFlushesAsOneFrame) {
     auto disk = std::make_shared<db::JournalStorage>();
@@ -206,7 +206,7 @@ TEST(JournalGroupCommit, BatchAndLegacyFramesInterleave) {
         batched.flush();
     }
     {
-        db::Journal legacy(disk);  // per-record frames onto the same medium
+        db::Journal legacy(disk);  // unbatched: a batch of one per append
         legacy.append(rec(3));
     }
     {
@@ -278,8 +278,8 @@ TEST(JournalChunkedSnapshot, LegacyCompactClearsStaleFallback) {
         db::Journal legacy(disk);
         legacy.compact(Value{std::string("c")});
     }
-    // A later corruption of the legacy snapshot must NOT resurrect the
-    // retired chunked state 'b' — it predates the legacy compact.
+    // A later corruption of the unchunked snapshot must NOT resurrect the
+    // retired chunked state 'b' — it predates the unchunked compact.
     disk->snapshot[disk->snapshot.size() / 2] ^= 0x01;
     auto restored = db::Journal(disk).restore();
     EXPECT_FALSE(restored.snapshot.has_value());

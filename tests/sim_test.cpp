@@ -162,10 +162,10 @@ TEST(Simulator, NestedSchedulingWithinEvent) {
 
 
 // ------------------------------------------------------- edge semantics ----
-// These pin down the corners the sharded kernel leans on: cancellation
-// from inside a firing callback, the strict horizon edge of run_window,
-// rearm ordering for repeating timers, tombstone compaction, and the
-// scoped trace-clock binding.
+// These pin down the kernel's corners: cancellation from inside a firing
+// callback, the strict horizon edge of run_window, rearm ordering for
+// repeating timers, tombstone compaction, and the scoped trace-clock
+// binding.
 
 TEST(Simulator, CancelOtherTimerFromInsideFiringCallback) {
     Simulator sim;
@@ -350,8 +350,8 @@ TEST(Simulator, ScopedTraceClockBindingRestoresOuter) {
 }
 
 TEST(Simulator, TraceClockBindsToRedirectedBuffer) {
-    // A simulator constructed under a Redirect binds the *shard* buffer;
-    // the root buffer's clock stack is untouched.
+    // A simulator constructed under a Redirect binds the redirected
+    // buffer; the root buffer's clock stack is untouched.
     auto& root = obs::TraceBuffer::global();
     obs::TraceBuffer shard_buf(64);
     auto sim = std::make_unique<Simulator>();
