@@ -1,7 +1,9 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -17,6 +19,40 @@ double Position::distance_to(const Position& other) const {
 }
 
 namespace {
+
+// Side of one neighbour-grid cell, in metres: about a handheld's radio
+// range, so a handheld's query visits a handful of cells.
+constexpr double kCellSize = 64.0;
+
+// Grid coordinate of `v`, clamped to int32 (NaN lands on the low edge).
+// Clamping is monotone, so a clamped node is still found by any box that
+// should reach it.
+std::int32_t cell_coord(double v) {
+    constexpr auto kLo = std::numeric_limits<std::int32_t>::min();
+    constexpr auto kHi = std::numeric_limits<std::int32_t>::max();
+    const double c = std::floor(v / kCellSize);
+    if (!(c > kLo)) return kLo;
+    if (c >= kHi) return kHi;
+    return static_cast<std::int32_t>(c);
+}
+
+std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
+    return std::uint64_t{static_cast<std::uint32_t>(cx)} << 32 | static_cast<std::uint32_t>(cy);
+}
+
+std::uint64_t cell_key(Position p) { return cell_key(cell_coord(p.x), cell_coord(p.y)); }
+
+bool in_radio_range(const Position& a, double range_a, const Position& b, double range_b) {
+    double dist = a.distance_to(b);
+    return dist <= range_a && dist <= range_b;
+}
+
+// Where `id` sits, or belongs, in a node's id-sorted wire list.
+template <typename Peers>
+auto peer_at(Peers& wired, NodeId id) {
+    return std::ranges::lower_bound(wired, id, {}, [](const auto& p) { return p.id; });
+}
+
 std::string next_net_label() {
     // Atomic, so Networks may be built on any thread.
     static std::atomic<int> seq{0};
@@ -104,8 +140,27 @@ void Network::clear_fault_plan() { injector_.reset(); }
 
 NodeId Network::add_node(const std::string& name, Position pos, double range) {
     NodeId id = node_ids_.next();
-    nodes_.emplace(id, NodeState{name, pos, range, nullptr, nullptr, /*epoch=*/1});
+    NodeState& node = nodes_[id];
+    node.name = name;
+    node.pos = pos;
+    node.range = range;
+    node.epoch = 1;
+    grid_insert(id, node);
     return id;
+}
+
+void Network::grid_insert(NodeId id, NodeState& node) {
+    node.cell = cell_key(node.pos);
+    grid_[node.cell].push_back(Peer{id, &node});
+}
+
+void Network::grid_erase(NodeId id, const NodeState& node) {
+    auto it = grid_.find(node.cell);
+    auto& cell = it->second;
+    auto at = std::ranges::find(cell, id, &Peer::id);
+    *at = cell.back();
+    cell.pop_back();
+    if (cell.empty()) grid_.erase(it);
 }
 
 void Network::remove_node(NodeId id) {
@@ -120,7 +175,9 @@ void Network::remove_node(NodeId id) {
     ++node->epoch;
     node->range = 0;
     node->removed = true;
-    std::erase_if(wires_, [id](const auto& w) { return w.first == id || w.second == id; });
+    grid_erase(id, *node);
+    for (const Peer& peer : node->wired) peer.node->wired.erase(peer_at(peer.node->wired, id));
+    node->wired.clear();
     // Compact on a fresh event (not inline): a handler removing its own
     // node must not free the std::function it is executing from.
     sim_.schedule_after(Duration{0}, [this, id]() { compact(id); });
@@ -152,6 +209,10 @@ void Network::set_tap(NodeId id, Handler tap) {
 void Network::move_node(NodeId id, Position pos) {
     if (auto* node = find(id)) {
         node->pos = pos;
+        if (!node->removed && cell_key(pos) != node->cell) {
+            grid_erase(id, *node);
+            grid_insert(id, *node);
+        }
     } else {
         throw RemoteError("move_node: unknown node " + id.str());
     }
@@ -169,24 +230,82 @@ std::string Network::name_of(NodeId id) const {
 }
 
 void Network::add_wire(NodeId a, NodeId b) {
-    if (a == b) return;
-    wires_.insert(a < b ? std::pair{a, b} : std::pair{b, a});
+    auto* na = find(a);
+    auto* nb = find(b);
+    if (a == b || !na || !nb || na->removed || nb->removed) return;
+    auto at = peer_at(na->wired, b);
+    if (at != na->wired.end() && at->id == b) return;  // already wired
+    na->wired.insert(at, Peer{b, nb});
+    nb->wired.insert(peer_at(nb->wired, a), Peer{a, na});
+}
+
+bool Network::linked(NodeId a, const NodeState& na, NodeId b, const NodeState& nb) {
+    if (na.removed || nb.removed) return false;
+    // Both ends list the wire; search the shorter list.
+    const bool a_shorter = na.wired.size() <= nb.wired.size();
+    const auto& wired = a_shorter ? na.wired : nb.wired;
+    if (std::ranges::binary_search(wired, a_shorter ? b : a, {}, &Peer::id)) return true;
+    return in_radio_range(na.pos, na.range, nb.pos, nb.range);
 }
 
 bool Network::in_contact(NodeId a, NodeId b) const {
     const auto* na = find(a);
     const auto* nb = find(b);
     if (!na || !nb || a == b) return false;
-    if (na->removed || nb->removed) return false;
-    if (wires_.contains(a < b ? std::pair{a, b} : std::pair{b, a})) return true;
-    double dist = na->pos.distance_to(nb->pos);
-    return dist <= na->range && dist <= nb->range;
+    return linked(a, *na, b, *nb);
+}
+
+std::vector<Network::Peer> Network::contacts(NodeId id, const NodeState& self) const {
+    if (self.removed) return {};
+    std::vector<Peer> out = self.wired;
+    auto scan = [&](const std::vector<Peer>& cell) {
+        for (const Peer& p : cell) {
+            if (p.id != id &&
+                in_radio_range(self.pos, self.range, p.node->pos, p.node->range)) {
+                out.push_back(p);
+            }
+        }
+    };
+    // Widened by a hair, so rounding in distance_to() cannot put an
+    // in-range node just outside the box.
+    const double reach =
+        self.range + 1e-9 * (self.range + std::abs(self.pos.x) + std::abs(self.pos.y));
+    if (reach >= 0) {  // false for a negative or NaN range: radio-deaf
+        const std::int32_t x0 = cell_coord(self.pos.x - reach);
+        const std::int32_t x1 = cell_coord(self.pos.x + reach);
+        const std::int32_t y0 = cell_coord(self.pos.y - reach);
+        const std::int32_t y1 = cell_coord(self.pos.y + reach);
+        const std::uint64_t w = static_cast<std::uint64_t>(std::int64_t{x1} - x0 + 1);
+        const std::uint64_t h = static_cast<std::uint64_t>(std::int64_t{y1} - y0 + 1);
+        const std::uint64_t occupied = grid_.size();
+        if (w <= occupied && h <= occupied && w * h <= occupied) {
+            for (std::int64_t cx = x0; cx <= x1; ++cx) {
+                for (std::int64_t cy = y0; cy <= y1; ++cy) {
+                    auto it = grid_.find(cell_key(static_cast<std::int32_t>(cx),
+                                                  static_cast<std::int32_t>(cy)));
+                    if (it != grid_.end()) scan(it->second);
+                }
+            }
+        } else {
+            // The box spans more cells than are occupied: walk those.
+            for (const auto& [key, cell] : grid_) {
+                const auto cx = static_cast<std::int32_t>(key >> 32);
+                const auto cy = static_cast<std::int32_t>(key);
+                if (cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1) scan(cell);
+            }
+        }
+    }
+    // A wired peer may also be in radio range: keep one entry per id.
+    std::ranges::sort(out, {}, &Peer::id);
+    auto dup = std::ranges::unique(out, {}, &Peer::id);
+    out.erase(dup.begin(), dup.end());
+    return out;
 }
 
 std::vector<NodeId> Network::neighbors(NodeId id) const {
     std::vector<NodeId> out;
-    for (const auto& [other_id, _] : nodes_) {
-        if (other_id != id && in_contact(id, other_id)) out.push_back(other_id);
+    if (const auto* self = find(id)) {
+        for (const Peer& p : contacts(id, *self)) out.push_back(p.id);
     }
     return out;
 }
@@ -201,9 +320,10 @@ Duration Network::transit_time(const Message& msg) {
     return config_.base_latency + size_cost + jitter;
 }
 
-void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
+void Network::schedule_delivery(const Message& msg, NodeState& receiver_at_send,
                                 Duration extra_delay) {
-    if (auto* receiver = find(msg.to)) ++receiver->in_flight;
+    ++receiver_at_send.in_flight;
+    const std::uint64_t to_epoch = receiver_at_send.epoch;
     sim_.schedule_after(transit_time(msg) + extra_delay, [this, msg, to_epoch]() {
         auto it = nodes_.find(msg.to);
         if (it == nodes_.end()) {
@@ -235,7 +355,7 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
         // range, so such frames deliver unconditionally.)
         const NodeState* sender = find(msg.from);
         bool sender_gone = !sender || sender->removed;
-        if (!sender_gone && !in_contact(msg.from, msg.to)) {
+        if (!sender_gone && !linked(msg.from, *sender, msg.to, receiver)) {
             dropped_out_of_range_.inc();
             return;
         }
@@ -252,11 +372,29 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
 
 bool Network::send(const Message& msg) {
     sent_.inc();
-    const auto* receiver = find(msg.to);
+    auto* receiver = find(msg.to);
     if (!receiver || !in_contact(msg.from, msg.to)) {
         dropped_out_of_range_.inc();
         return false;
     }
+    return transmit(msg, *receiver);
+}
+
+std::size_t Network::broadcast(NodeId from, const std::string& kind, Bytes payload) {
+    const auto* sender = find(from);
+    if (!sender) return 0;
+    const std::vector<Peer> to = contacts(from, *sender);
+    sent_.inc(to.size());
+    Message msg{from, NodeId{}, kind, std::move(payload), obs::TraceBuffer::global().current()};
+    std::size_t scheduled = 0;
+    for (const Peer& p : to) {
+        msg.to = p.id;
+        if (transmit(msg, *p.node)) ++scheduled;
+    }
+    return scheduled;
+}
+
+bool Network::transmit(const Message& msg, NodeState& receiver) {
     if (config_.loss_probability > 0 && rng_.chance(config_.loss_probability)) {
         dropped_loss_.inc();
         return false;
@@ -283,25 +421,16 @@ bool Network::send(const Message& msg) {
         if (verdict.reordered) fault_reordered_.inc();
         if (extra_delay.count() > 0) fault_delayed_.inc();
     }
-    schedule_delivery(msg, receiver->epoch, extra_delay);
+    schedule_delivery(msg, receiver, extra_delay);
     if (fault_duplicate) {
         fault_duplicated_.inc();
-        schedule_delivery(msg, receiver->epoch, extra_delay);
+        schedule_delivery(msg, receiver, extra_delay);
     }
     if (config_.duplicate_probability > 0 && rng_.chance(config_.duplicate_probability)) {
         duplicated_.inc();
-        schedule_delivery(msg, receiver->epoch);
+        schedule_delivery(msg, receiver);
     }
     return true;
-}
-
-std::size_t Network::broadcast(NodeId from, const std::string& kind, Bytes payload) {
-    std::size_t scheduled = 0;
-    for (NodeId neighbor : neighbors(from)) {
-        Message copy{from, neighbor, kind, payload, obs::TraceBuffer::global().current()};
-        if (send(copy)) ++scheduled;
-    }
-    return scheduled;
 }
 
 const Network::NodeState* Network::find(NodeId id) const {

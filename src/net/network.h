@@ -9,12 +9,11 @@
 // failures deterministically.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -127,13 +126,19 @@ public:
 
     /// Connect two nodes with a wired link: they stay in contact regardless
     /// of position (the backbone between base stations of adjacent halls).
+    /// Both must be attached; removing either cuts the wire for good.
     void add_wire(NodeId a, NodeId b);
 
     /// True if the two nodes can currently exchange messages — wired, or
     /// by radio (symmetric: each must be inside the other's range).
     bool in_contact(NodeId a, NodeId b) const;
 
-    /// All attached nodes currently in contact with `id` (excluding itself).
+    /// All attached nodes currently in contact with `id` (excluding
+    /// itself), in ascending NodeId order, so a seed's results do not
+    /// depend on hash-table layout. Cost: the node's wired peers plus the
+    /// nodes in the grid cells its radio range box overlaps, or in every
+    /// occupied cell when the box overlaps more cells than are occupied
+    /// (a hall-wide range); never a scan of the whole node table.
     std::vector<NodeId> neighbors(NodeId id) const;
 
     /// Unicast. Checks contact at send time and again at delivery time (the
@@ -141,7 +146,9 @@ public:
     /// send time.
     bool send(const Message& msg);
 
-    /// Broadcast to every node currently in contact with the sender.
+    /// Broadcast to every node currently in contact with the sender: one
+    /// neighbors() query, then one send per recipient in ascending NodeId
+    /// order (the order in which jitter, loss and fault draws are taken).
     /// Returns the number of deliveries scheduled.
     std::size_t broadcast(NodeId from, const std::string& kind, Bytes payload);
 
@@ -162,6 +169,15 @@ public:
     sim::Simulator& simulator() { return sim_; }
 
 private:
+    struct NodeState;
+    /// A node as seen from the grid or a wire: its id and its state.
+    /// `node` stays valid: unordered_map never moves its elements, and
+    /// remove_node() takes the node off the grid and its peers' wire
+    /// lists before compact() erases it.
+    struct Peer {
+        NodeId id;
+        NodeState* node;
+    };
     struct NodeState {
         std::string name;
         Position pos;
@@ -171,9 +187,20 @@ private:
         std::uint64_t epoch = 0;  // bumped on remove; stale deliveries check it
         bool removed = false;     // tombstoned; compacted when in_flight drains
         std::uint64_t in_flight = 0;  // deliveries scheduled to this node
+        std::uint64_t cell = 0;       // grid cell key; off the grid once removed
+        std::vector<Peer> wired;      // sorted by id; both ends list the wire
     };
 
-    void schedule_delivery(const Message& msg, std::uint64_t to_epoch,
+    /// Wired, or mutually in radio range. Removed nodes touch nothing.
+    static bool linked(NodeId a, const NodeState& na, NodeId b, const NodeState& nb);
+    /// Everything in contact with `self`, in ascending id order.
+    std::vector<Peer> contacts(NodeId id, const NodeState& self) const;
+    void grid_insert(NodeId id, NodeState& node);
+    void grid_erase(NodeId id, const NodeState& node);
+    /// Send tail shared by send() and broadcast(): loss, faults and
+    /// scheduling, once the receiver is known to be in contact.
+    bool transmit(const Message& msg, NodeState& receiver);
+    void schedule_delivery(const Message& msg, NodeState& receiver_at_send,
                            Duration extra_delay = Duration{0});
     /// Erase a tombstoned node once its in-flight deliveries have drained.
     void compact(NodeId id);
@@ -186,7 +213,9 @@ private:
     Rng rng_;
     IdGenerator<NodeId> node_ids_;
     std::unordered_map<NodeId, NodeState> nodes_;
-    std::set<std::pair<NodeId, NodeId>> wires_;  // normalized (min, max) pairs
+    // Uniform grid over live nodes' positions, keyed by packed cell
+    // coordinates; empty cells are erased, so size() is the occupied count.
+    std::unordered_map<std::uint64_t, std::vector<Peer>> grid_;
     std::unique_ptr<FaultInjector> injector_;    // null: no plan installed
 
     // Per-instance counters in the global registry. Owned (refcounted) so a

@@ -1,6 +1,6 @@
 #include "sim/simulator.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -18,11 +18,7 @@ Simulator::Simulator() {
 Simulator::~Simulator() { trace_buffer_->clear_clock(trace_clock_token_); }
 
 TimerId Simulator::schedule_at(SimTime when, Callback fn) {
-    if (when < now_) when = now_;
-    std::uint64_t id = ++next_id_;
-    live_.insert(id);
-    queue_.push(Event{when, ++next_seq_, id, /*repeating=*/false, std::move(fn)});
-    return TimerId{id};
+    return arm(when, std::move(fn), /*repeating=*/false, Duration{0});
 }
 
 TimerId Simulator::schedule_after(Duration delay, Callback fn) {
@@ -30,39 +26,75 @@ TimerId Simulator::schedule_after(Duration delay, Callback fn) {
 }
 
 TimerId Simulator::schedule_every(Duration period, Callback fn) {
-    // The repeating timer keeps one pending event at a time. The shared id
-    // is stable across re-arms so a single cancel() stops the cycle: the
-    // cancelled_ tombstone suppresses the in-flight event, which is the
-    // only thing that would re-arm.
-    std::uint64_t id = ++next_id_;
-    live_.insert(id);
-    auto shared_fn = std::make_shared<Callback>(std::move(fn));
-    auto rearm = std::make_shared<std::function<void()>>();
-    // The rearm body refers to itself only weakly; the strong reference
-    // lives in the queued event. Once the final event is consumed (fired
-    // or tombstoned away) everything is freed — capturing `rearm` strongly
-    // here would form a shared_ptr cycle and leak the closure.
-    *rearm = [this, id, period, shared_fn,
-              weak = std::weak_ptr<std::function<void()>>(rearm)]() {
-        (*shared_fn)();
-        if (live_.contains(id)) {
-            auto self = weak.lock();  // held alive by the event invoking us
-            queue_.push(Event{now_ + period, ++next_seq_, id, /*repeating=*/true,
-                              [self]() { (*self)(); }});
-        } else {
-            // Cancelled from inside fn: no event will carry the tombstone
-            // out of the queue, so clear it here.
-            cancelled_.erase(id);
-        }
-    };
-    queue_.push(Event{now_ + period, ++next_seq_, id, /*repeating=*/true,
-                      [rearm]() { (*rearm)(); }});
-    return TimerId{id};
+    // The repeating timer keeps one pending event at a time and one id
+    // for its whole life: fire_next() re-arms it after each run unless
+    // the run (or anything before it) cancelled the id.
+    return arm(now_ + period, std::move(fn), /*repeating=*/true, period);
+}
+
+TimerId Simulator::arm(SimTime when, Callback fn, bool repeating, Duration period) {
+    if (when < now_) when = now_;
+    std::uint32_t index;
+    if (free_slots_.empty()) {
+        index = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        index = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    Slot& slot = slots_[index];
+    // Generation 0 is never issued, so TimerId{} (value 0) stays invalid.
+    if (++slot.gen == 0) slot.gen = 1;
+    slot.fn = std::move(fn);
+    slot.period = period;
+    slot.live = true;
+    slot.repeating = repeating;
+    push(index, when);
+    return TimerId{std::uint64_t{slot.gen} << 32 | index};
+}
+
+void Simulator::push(std::uint32_t slot, SimTime when) {
+    slots_[slot].queued = true;
+    queue_.push_back(Event{when, ++next_seq_, slot, slots_[slot].gen});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+Simulator::Event Simulator::pop() {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = queue_.back();
+    queue_.pop_back();
+    return ev;
+}
+
+bool Simulator::stale(const Event& ev) const {
+    const Slot& slot = slots_[ev.slot];
+    return !slot.live || slot.gen != ev.gen;
+}
+
+Simulator::Slot* Simulator::live_slot(TimerId id) {
+    const auto index = static_cast<std::uint32_t>(id.value);
+    const auto gen = static_cast<std::uint32_t>(id.value >> 32);
+    if (index >= slots_.size()) return nullptr;
+    Slot& slot = slots_[index];
+    return slot.live && slot.gen == gen ? &slot : nullptr;
+}
+
+void Simulator::release(std::uint32_t slot) {
+    slots_[slot].live = false;
+    slots_[slot].queued = false;
+    free_slots_.push_back(slot);
 }
 
 bool Simulator::cancel(TimerId id) {
-    if (!id.valid() || !live_.erase(id.value)) return false;
-    cancelled_.insert(id.value);
+    Slot* slot = live_slot(id);
+    if (!slot) return false;
+    // Destroyed on return, once the slot table is consistent again: the
+    // closure's captures may themselves schedule or cancel.
+    Callback dead = std::move(slot->fn);
+    // A repeating timer cancelled from its own callback has no event
+    // queued; anything else leaves one behind as a tombstone.
+    if (slot->queued) ++tombstones_;
+    release(static_cast<std::uint32_t>(id.value));
     maybe_compact();
     return true;
 }
@@ -73,31 +105,36 @@ void Simulator::maybe_compact() {
     // handoffs) would otherwise drag a heap full of dead entries through
     // every push/pop. Each rebuild removes at least a third of the queue,
     // so the cost is amortized against the cancels that forced it.
-    if (cancelled_.size() * 2 <= pending()) return;
-    std::vector<Event> keep;
-    keep.reserve(queue_.size() - cancelled_.size());
-    while (!queue_.empty()) {
-        Event ev = std::move(const_cast<Event&>(queue_.top()));
-        queue_.pop();
-        if (!cancelled_.contains(ev.id)) keep.push_back(std::move(ev));
-    }
-    cancelled_.clear();
-    for (auto& ev : keep) queue_.push(std::move(ev));
+    // (when, seq) is a total order, so the rebuilt heap pops in the same
+    // order as the old one.
+    if (tombstones_ * 2 <= pending()) return;
+    std::erase_if(queue_, [this](const Event& ev) { return stale(ev); });
+    std::make_heap(queue_.begin(), queue_.end(), Later{});
+    tombstones_ = 0;
     ++compactions_;
     obs::Registry::global().counter("sim.compactions").inc();
 }
 
 bool Simulator::fire_next() {
     while (!queue_.empty()) {
-        Event ev = queue_.top();
-        queue_.pop();
-        if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
+        const Event ev = pop();
+        if (stale(ev)) {
+            --tombstones_;
             continue;
         }
-        if (!ev.repeating) live_.erase(ev.id);
+        Slot& slot = slots_[ev.slot];
+        slot.queued = false;
+        const bool repeating = slot.repeating;
+        Callback fn = std::move(slot.fn);
+        if (!repeating) release(ev.slot);
         now_ = ev.when;
-        ev.fn();
+        fn();
+        // Re-arm unless fn cancelled the timer. fn may have grown slots_
+        // (or let the slot be reused), so index it afresh.
+        if (repeating && !stale(ev)) {
+            slots_[ev.slot].fn = std::move(fn);
+            push(ev.slot, now_ + slots_[ev.slot].period);
+        }
         EpochDomain::poll();
         return true;
     }
@@ -126,10 +163,10 @@ void Simulator::run_for(Duration d) { run_until(now_ + d); }
 
 SimTime Simulator::next_event_time() {
     while (!queue_.empty()) {
-        const Event& top = queue_.top();
-        if (auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            queue_.pop();
+        const Event& top = queue_.front();
+        if (stale(top)) {
+            pop();
+            --tombstones_;
             continue;
         }
         return top.when;

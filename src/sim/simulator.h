@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/epoch.h"
@@ -28,6 +26,11 @@ class TraceBuffer;
 namespace pmp::sim {
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
+///
+/// Opaque: it packs the event's timer slot and that slot's generation.
+/// An id goes stale once its timer fires (one-shot) or is cancelled;
+/// the slot may then carry a new timer, but under a new generation, so
+/// cancelling a stale id never touches its successor.
 struct TimerId {
     std::uint64_t value = 0;
     bool valid() const { return value != 0; }
@@ -74,8 +77,11 @@ public:
     /// Cancelling the returned id stops the repetition.
     TimerId schedule_every(Duration period, Callback fn);
 
-    /// Cancel a pending event. Cancelling an already-fired or unknown id is
-    /// a no-op. Returns true if something was actually cancelled.
+    /// Cancel a pending event: O(1) plus, now and then, an amortised
+    /// tombstone sweep. Cancelling a stale (fired, cancelled) or unknown
+    /// id is a no-op. Returns true if something was actually cancelled.
+    /// The callback is destroyed before cancel() returns, or, for a
+    /// repeating timer cancelled from its own callback, when that returns.
     bool cancel(TimerId id);
 
     /// Run the single next event. Returns false if the queue is empty.
@@ -111,19 +117,31 @@ public:
     void advance_to(SimTime t);
 
     /// Number of events currently pending.
-    std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+    std::size_t pending() const { return queue_.size() - tombstones_; }
 
     /// Times the tombstone sweep has rebuilt the queue (metric
     /// `sim.compactions` counts the same thing process-wide).
     std::uint64_t compactions() const { return compactions_; }
 
 private:
+    /// One timer. The slot outlives the timer: when the timer ends the
+    /// slot goes on the free list, and reuse bumps `gen`, which makes
+    /// every id and queued event of the old timer stale (until `gen`
+    /// wraps, after 2^32 timers in one slot).
+    struct Slot {
+        Callback fn;  // moved out while it runs
+        Duration period{0};
+        std::uint32_t gen = 0;
+        bool live = false;       // a timer holds the slot
+        bool repeating = false;
+        bool queued = false;     // the live timer's next event is in queue_
+    };
+    /// Heap entry; stale once its slot no longer holds the generation.
     struct Event {
         SimTime when;
         std::uint64_t seq;  // tie-breaker: FIFO among same-time events
-        std::uint64_t id;
-        bool repeating;
-        Callback fn;
+        std::uint32_t slot;
+        std::uint32_t gen;
     };
     struct Later {
         bool operator()(const Event& a, const Event& b) const {
@@ -132,16 +150,23 @@ private:
         }
     };
 
+    TimerId arm(SimTime when, Callback fn, bool repeating, Duration period);
+    void push(std::uint32_t slot, SimTime when);
+    Event pop();
+    bool stale(const Event& ev) const;
+    /// The live slot `id` names, or nullptr if the id is stale or unknown.
+    Slot* live_slot(TimerId id);
+    void release(std::uint32_t slot);
     bool fire_next();
     void maybe_compact();
 
     EpochDomain::Enrollment epoch_enrollment_;
     SimTime now_ = SimTime::zero();
     std::uint64_t next_seq_ = 0;
-    std::uint64_t next_id_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    std::unordered_set<std::uint64_t> live_;       // ids that can still fire
-    std::unordered_set<std::uint64_t> cancelled_;  // tombstones for queued events
+    std::vector<Event> queue_;  // binary heap under Later
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    std::size_t tombstones_ = 0;  // stale events still in queue_
     std::uint64_t compactions_ = 0;
     obs::TraceBuffer* trace_buffer_ = nullptr;  // buffer the clock is bound to
     std::uint64_t trace_clock_token_ = 0;       // obs trace-clock registration

@@ -1,7 +1,10 @@
 // Tests for the simulated radio network, mobility and message routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "net/mobility.h"
 #include "net/network.h"
 #include "net/router.h"
@@ -149,6 +152,81 @@ TEST(Network, NeighborsList) {
     net.add_node("b", {1, 0}, 10);
     net.add_node("c", {100, 0}, 10);
     EXPECT_EQ(net.neighbors(a).size(), 1u);
+}
+
+// The grid-indexed neighbour query must agree with the pairwise contact
+// rule at fleet scale: negative coordinates, mixed ranges, one range wider
+// than the whole layout (the occupied-cell walk), wires, moves across grid
+// cells and removed nodes.
+TEST(Network, NeighborsMatchPairwiseContactAtFleetScale) {
+    sim::Simulator sim;
+    Network net(sim, quiet(), 1);
+    Rng rng(42);
+    auto coord = [&] { return rng.next_double() * 1200.0 - 600.0; };
+    const double ranges[] = {0.0, 5.0, 40.0, 64.0, 150.0, 500.0};
+    std::vector<NodeId> ids;
+    for (int i = 0; i < 1200; ++i) {
+        const double range = ranges[rng.next_below(std::size(ranges))];
+        const std::string name = std::string("n").append(std::to_string(i));
+        ids.push_back(net.add_node(name, {coord(), coord()}, range));
+    }
+    const NodeId tower = net.add_node("tower", {-3.0, 7.0}, 1e5);  // wider than the layout
+    ids.push_back(tower);
+    // Peers exactly at range along each axis sit in the edge cells of the
+    // sender's box: one box small enough to be visited cell by cell, one
+    // large enough that the occupied cells are walked instead.
+    for (double r : {100.0, 1000.0}) {
+        const Position c{2000.5 + 3 * r, -1700.25};
+        ids.push_back(net.add_node("c", c, r));
+        for (auto [dx, dy] : {std::pair{r, 0.0}, {-r, 0.0}, {0.0, r}, {0.0, -r}}) {
+            ids.push_back(net.add_node("edge", {c.x + dx, c.y + dy}, r));
+        }
+    }
+    for (int i = 0; i < 60; ++i) {
+        net.add_wire(ids[rng.next_below(ids.size())], ids[rng.next_below(ids.size())]);
+    }
+    for (int i = 0; i < 300; ++i) {  // small steps and long jumps
+        const NodeId id = ids[rng.next_below(1200)];
+        const Position p = net.position_of(id);
+        const double step = i % 2 ? 70.0 : 900.0;
+        net.move_node(id, {p.x + (rng.next_double() - 0.5) * step,
+                           p.y + (rng.next_double() - 0.5) * step});
+    }
+    for (int i = 0; i < 100; ++i) net.remove_node(ids[rng.next_below(1200)]);
+    // A removed node at a live node's very position is nobody's neighbour.
+    const NodeId twin = net.add_node("twin", net.position_of(tower), 50);
+    ids.push_back(twin);
+    net.remove_node(twin);
+    sim.run();  // compact the tombstones
+
+    for (NodeId id : ids) {
+        std::vector<NodeId> expect;
+        for (NodeId other : ids) {
+            if (net.in_contact(id, other)) expect.push_back(other);
+        }
+        std::sort(expect.begin(), expect.end());
+        ASSERT_EQ(net.neighbors(id), expect) << "node " << id.str();
+    }
+    EXPECT_GT(net.neighbors(tower).size(), 100u);
+}
+
+TEST(Network, BroadcastSendsInAscendingNodeIdOrder) {
+    sim::Simulator sim;
+    Network net(sim, quiet(), 1);
+    // Added out of id order relative to position, and some in another cell.
+    NodeId src = net.add_node("src", {0, 0}, 200);
+    std::vector<NodeId> peers;
+    for (int i = 0; i < 12; ++i) {
+        const std::string name = std::string("p").append(std::to_string(i));
+        peers.push_back(net.add_node(name, {150.0 - 25.0 * i, -70.0}, 200));
+    }
+    std::vector<NodeId> order;
+    for (NodeId p : peers) {
+        net.set_handler(p, [&order, p](const Message&) { order.push_back(p); });
+    }
+    EXPECT_EQ(net.broadcast(src, "hello", {}), peers.size());
+    sim.run();  // no jitter: deliveries fire in send order
+    EXPECT_EQ(order, peers);
 }
 
 TEST(Network, LargerMessagesTakeLonger) {

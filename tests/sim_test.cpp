@@ -330,6 +330,61 @@ TEST(Simulator, CompactionPreservesFifoWithinSameInstant) {
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// Timer ids name a slot and its generation; slots are reused. A stale id
+// (fired or cancelled) must never reach the slot's next timer.
+TEST(Simulator, StaleIdDoesNotCancelTimerThatReusedItsSlot) {
+    Simulator sim;
+    int fired = 0;
+    TimerId done = sim.schedule_at(SimTime{10}, [&]() { ++fired; });
+    sim.run();
+    TimerId reuse = sim.schedule_at(SimTime{20}, [&]() { fired += 10; });
+    EXPECT_NE(done, reuse);
+    EXPECT_FALSE(sim.cancel(done));
+    EXPECT_EQ(sim.pending(), 1u);
+
+    TimerId gone = sim.schedule_at(SimTime{30}, [&]() { fired += 100; });
+    EXPECT_TRUE(sim.cancel(gone));
+    TimerId next = sim.schedule_at(SimTime{40}, [&]() { fired += 1000; });
+    EXPECT_FALSE(sim.cancel(gone));
+    EXPECT_EQ(sim.pending(), 2u);
+    sim.run();
+    EXPECT_EQ(fired, 1011);
+    EXPECT_FALSE(sim.cancel(reuse));
+    EXPECT_FALSE(sim.cancel(next));
+}
+
+TEST(Simulator, RepeatingTimerCancelledInOwnCallbackDuringCompaction) {
+    // The repeating timer's event has left the queue while its callback
+    // runs, so its self-cancel leaves no tombstone; the cancels after it
+    // then trip a compaction inside the same callback.
+    Simulator sim;
+    int shots = 0;
+    int every_fired = 0;
+    std::vector<TimerId> doomed;
+    for (int i = 0; i < 10; ++i) {
+        TimerId id = sim.schedule_at(SimTime{1000 + i}, [&]() { ++shots; });
+        if (i % 2) doomed.push_back(id);
+    }
+    TimerId every;
+    every = sim.schedule_every(Duration{10}, [&]() {
+        ++every_fired;
+        EXPECT_EQ(sim.pending(), 10u);
+        EXPECT_TRUE(sim.cancel(every));
+        EXPECT_EQ(sim.pending(), 10u);
+        for (TimerId id : doomed) EXPECT_TRUE(sim.cancel(id));
+        EXPECT_GT(sim.compactions(), 0u);
+        EXPECT_EQ(sim.pending(), 5u);
+        EXPECT_FALSE(sim.cancel(every));
+    });
+    sim.run_until(SimTime{500});
+    EXPECT_EQ(every_fired, 1);
+    EXPECT_EQ(sim.pending(), 5u);
+    sim.run();
+    EXPECT_EQ(shots, 5);
+    EXPECT_EQ(every_fired, 1);
+    EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(Simulator, ScopedTraceClockBindingRestoresOuter) {
     // Nested simulators on the same buffer: destroying the inner one must
     // restore the outer clock, and destroying them out of order must not
