@@ -1,11 +1,11 @@
 // Cheap deterministic non-cryptographic hashing.
 //
-// Used wherever the platform needs a stable, seed-free placement or jitter
-// decision that must replay identically run to run: consistent-hash shard
-// ownership (disco::HashRing), per-lease renewal phase jitter. Not for
-// security (see pmp::crypto) and not for randomness (see pmp::Rng) — this
-// is for *placement*, where the same key must land in the same place on
-// every node that computes it.
+// Used wherever the platform needs a stable, seed-free keying or jitter
+// decision that must replay identically run to run: per-lease renewal
+// phase jitter (disco::lease_renewal_phase) and the fault injector's
+// per-link streams, keyed by node name (net::Network). Not for security
+// (see pmp::crypto) and not for randomness (see pmp::Rng) — the same key
+// must give the same answer on every node that computes it.
 #pragma once
 
 #include <cstdint>
@@ -30,19 +30,6 @@ constexpr std::uint64_t fnv1a64_mix(std::uint64_t h, std::uint64_t v) {
         h ^= (v >> (i * 8)) & 0xffull;
         h *= 0x100000001b3ull;
     }
-    return h;
-}
-
-/// Finalizing avalanche (the splitmix64 mixer). FNV-1a is stable but its
-/// high bits barely move for keys that share a prefix ("svc/a", "svc/b"
-/// land in one narrow arc of a 64-bit ring); run placements through this
-/// whenever bit *distribution* matters, not just stability.
-constexpr std::uint64_t hash_avalanche(std::uint64_t h) {
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 31;
     return h;
 }
 

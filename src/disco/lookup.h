@@ -33,8 +33,10 @@ struct DiscoveryConfig {
 /// seed, same schedule.
 Duration lease_renewal_phase(NodeId registrar, LeaseId lease, Duration duration);
 
-/// A leased resource held at a remote registrar, kept alive by renewal.
-/// Destroy the handle (or call cancel()) to give the lease up cleanly.
+/// A leased resource held at a remote registrar, kept alive by renewal at
+/// the registrar that granted it until that registrar refuses or stops
+/// answering. Destroy the handle (or call cancel()) to give the lease up
+/// cleanly.
 class LeasedResource {
 public:
     using LostFn = std::function<void()>;
@@ -61,8 +63,8 @@ private:
     void mark_lost();
 
     rt::RpcEndpoint& rpc_;
-    NodeId registrar_;
-    LeaseId lease_;
+    const NodeId registrar_;  ///< the registrar that granted the lease
+    const LeaseId lease_;
     Duration duration_;
     SimTime expires_{};  ///< client-side estimate of the registrar's deadline
     LostFn on_lost_;

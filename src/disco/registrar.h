@@ -1,12 +1,17 @@
 // Lookup service (the Jini registrar analog, paper §3.3 "service detection
 // and brokerage").
 //
-// A Registrar runs on some node — typically the base station of a
-// production hall — and brokers services for everything in radio range:
+// A Registrar runs on some node — the base station of a production hall,
+// or a CellStation serving one cell of a fleet — and brokers services for
+// everything in its radio range. Each hall or cell has its own registrar;
+// there is no directory spanning several of them.
 //
 //   * services register under a type string with attributes, and receive a
 //     *lease*: if the lease is not renewed, the registration evaporates.
-//     Leasing is what gives MIDAS its locality in time and space.
+//     Leasing is what gives MIDAS its locality in time and space. Only the
+//     lease's holder may renew or cancel it: the provider for a
+//     registration, the watcher for a watch. Anyone else is answered as if
+//     the lease did not exist.
 //   * clients look up services by type.
 //   * clients can *watch* a type: the registrar calls back (a remote event)
 //     whenever a matching service appears or disappears. Watches are leased
@@ -20,7 +25,7 @@
 //   renew(lease int, duration_ms int)               -> {ok, duration_ms}
 //   cancel(lease int)                               -> bool
 //   lookup(type str)                                -> [ {service, provider, type, attrs} ]
-//   watch(type str, listener str, duration_ms int)  -> {lease}
+//   watch(type str, listener str, duration_ms int)  -> {lease, duration_ms}
 //
 // Watch events arrive as RPC calls notify(event dict) on the listener
 // object exported by the watcher, with event = {type, appeared, item}.
@@ -33,8 +38,6 @@
 #include "rt/rpc.h"
 
 namespace pmp::disco {
-
-class HashRing;
 
 /// One registered service as seen in lookup results.
 struct ServiceItem {
@@ -51,13 +54,6 @@ struct RegistrarConfig {
     Duration max_lease = seconds(10);      ///< grants are clamped to this
     Duration sweep_period = milliseconds(250);  ///< expiry scan granularity
     Duration announce_period = seconds(1);  ///< "disco.here" beacon period
-    /// After a lease migrates to another shard, how long the old home
-    /// remembers the forwarding address. A client renews at duration/2, so
-    /// any live holder learns the new home well inside the grace window;
-    /// after it, a renew against the old home simply fails (and the holder
-    /// re-registers through its ring, which already points at the new
-    /// shard).
-    Duration moved_grace = seconds(30);
 };
 
 class Registrar {
@@ -78,32 +74,11 @@ public:
     void for_each(const std::string& type,
                   const std::function<void(const ServiceItem&)>& fn) const;
 
-    /// Shard rebalance: batch-migrate every leased registration AND remote
-    /// watch whose type key hashes to another shard under `ring` (one RPC
-    /// per target registrar, remaining lease durations preserved). Call
-    /// after a shard joins the ring, or on the departing registrar — with
-    /// a ring that no longer contains it — before it leaves. Holders
-    /// renewing against this registrar are redirected to their lease's new
-    /// home (see RegistrarConfig::moved_grace). Watches must move with the
-    /// registrations: new registrations of the type route to the new
-    /// owner, so a watch left behind would keep renewing successfully yet
-    /// silently never fire again. Permanent registrations never move: they
-    /// share fate with their host registrar.
-    void rebalance(const HashRing& ring);
-
-    struct ShardStats {
-        std::uint64_t migrated_out = 0;  ///< registrations shipped to another shard
-        std::uint64_t migrated_in = 0;   ///< registrations accepted from another shard
-        std::uint64_t watches_migrated_out = 0;  ///< remote watches shipped out
-        std::uint64_t watches_migrated_in = 0;   ///< remote watches accepted
-        std::uint64_t moved_redirects = 0;  ///< renew/cancel answered with a forward
-    };
-    const ShardStats& shard_stats() const { return shard_stats_; }
-
     /// Register a service co-located with the registrar, without a lease:
-    /// host and registrar share fate, so renewal would be a formality.
-    /// Used for infrastructure services (e.g. a tuple-space host on the
-    /// base station).
+    /// host and registrar share fate, so renewal would be a formality. No
+    /// renew or cancel call can reach it; it lives as long as the
+    /// registrar. Used for infrastructure services (e.g. a tuple-space host
+    /// on the base station).
     ServiceId register_permanent(const std::string& type, rt::Dict attributes);
 
     /// Local watch; fires on appearance (appeared=true) and on cancellation
@@ -132,13 +107,6 @@ private:
         WatchFn fn;
     };
 
-    /// Forwarding address for a lease that migrated to another shard.
-    struct MovedLease {
-        NodeId new_home;
-        LeaseId new_lease;
-        SimTime forget_at;  ///< moved_grace after the migration
-    };
-
     void build_service_object();
     Duration clamp(std::int64_t duration_ms) const;
     void sweep();
@@ -147,17 +115,16 @@ private:
     void remove_registration(std::map<ServiceId, Registration>::iterator it, bool notify);
     void index_add(const Registration& reg);
     void index_remove(const Registration& reg);
-    void migrate_batch(NodeId target, std::vector<ServiceId> sids,
-                       std::vector<LeaseId> watch_leases);
 
     rt::Value do_register(NodeId provider, const std::string& type, rt::Dict attrs,
                           std::int64_t duration_ms);
-    rt::Value do_renew(std::uint64_t lease, std::int64_t duration_ms);
-    bool do_cancel(std::uint64_t lease);
+    /// Refreshes `lease` if `holder` holds it; refuses it otherwise.
+    rt::Value do_renew(NodeId holder, std::uint64_t lease, std::int64_t duration_ms);
+    /// Gives `lease` up if `holder` holds it; false otherwise.
+    bool do_cancel(NodeId holder, std::uint64_t lease);
     rt::Value do_lookup(const std::string& type) const;
     rt::Value do_watch(NodeId watcher, const std::string& type, const std::string& listener,
                        std::int64_t duration_ms);
-    rt::Value do_migrate(NodeId source, const rt::List& entries);
 
     net::MessageRouter& router_;
     rt::RpcEndpoint& rpc_;
@@ -166,12 +133,10 @@ private:
     IdGenerator<ServiceId> service_ids_;
     IdGenerator<LeaseId> lease_ids_;
     std::map<ServiceId, Registration> services_;
-    std::map<LeaseId, ServiceId> service_by_lease_;
+    std::map<LeaseId, ServiceId> service_by_lease_;  ///< leased registrations only
     /// Type -> registrations of that type: lookups and the per-tick
     /// for_each scan cost O(matching), not O(all registrations).
     std::map<std::string, std::set<ServiceId>> by_type_;
-    std::map<LeaseId, MovedLease> moved_;  ///< migrated out; swept by grace
-    ShardStats shard_stats_;
     std::map<LeaseId, RemoteWatch> remote_watches_;
     std::map<std::uint64_t, LocalWatch> local_watches_;
     std::uint64_t next_local_watch_ = 0;

@@ -1,4 +1,4 @@
-// Cell-level batched lease protocol (ROADMAP: million-node federation).
+// Cell-level batched lease protocol (docs/federation.md).
 //
 // The paper's base keeps every adapted node's extensions alive with one
 // keep-alive RPC per (node, extension) per period. One hall of a few dozen
@@ -24,7 +24,8 @@
 //     not once per node.
 //   * a pause list — nodes whose caller-side circuit breaker is open this
 //     period; the relay skips them and reports nothing, so skipped ticks
-//     never count as keep-alive failures (PR 4 semantics preserved).
+//     never count as keep-alive failures (docs/overload.md semantics
+//     preserved).
 //
 // The relay fans out ordinary per-node install/keepalive RPCs *locally*
 // (cell-radio hops, not backhaul) and the reply to frame N carries the

@@ -2,6 +2,8 @@
 // watches with remote events, discovery probes, and lease-loss handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "disco/lookup.h"
 #include "net/router.h"
 
@@ -154,6 +156,73 @@ TEST_F(DiscoTest, CancelRemovesRegistration) {
     sim_.run_for(seconds(1));
     EXPECT_TRUE(registrar_->lookup("svc").empty());
     EXPECT_FALSE(handle->alive());
+}
+
+TEST_F(DiscoTest, OnlyTheHolderCanRenewOrCancelALease) {
+    // Lease ids are small sequential integers, so any node in range can
+    // guess one. A permanent registration (as the extension base makes for
+    // its catch-up service) is the first thing this registrar grants.
+    registrar_->register_permanent("infra", {});
+    sim_.run_for(seconds(1));
+    bool reg_lost = false;
+    bool watch_lost = false;
+    int appeared = 0;
+    std::shared_ptr<LeasedResource> reg, watch;
+    client_->register_service(base_.id, "svc", {}, [&]() { reg_lost = true; },
+                              [&](std::shared_ptr<LeasedResource> h, std::exception_ptr) {
+                                  reg = std::move(h);
+                              });
+    client_->watch(
+        base_.id, "svc", [&](const ServiceItem&, bool ok) { appeared += ok ? 1 : 0; },
+        [&]() { watch_lost = true; },
+        [&](std::shared_ptr<LeasedResource> h, std::exception_ptr) { watch = std::move(h); });
+    sim_.run_for(seconds(1));
+    ASSERT_NE(reg, nullptr);
+    ASSERT_NE(watch, nullptr);
+    ASSERT_EQ(appeared, 1);
+
+    // A third node in radio range tries every lease id the registrar has
+    // granted: renew to 1 ms, then cancel. Each is answered like an
+    // unknown lease.
+    TestNode stranger(net_, "stranger", {20, 0}, 100);
+    std::uint64_t last = std::max(reg->lease().value, watch->lease().value);
+    for (std::uint64_t lease = 1; lease <= last; ++lease) {
+        Value lid{static_cast<std::int64_t>(lease)};
+        Value renewed = stranger.rpc.call_sync(base_.id, "registrar", "renew",
+                                               {lid, Value{std::int64_t{1}}});
+        EXPECT_FALSE(renewed.as_dict().at("ok").as_bool()) << "lease " << lease;
+        Value cancelled = stranger.rpc.call_sync(base_.id, "registrar", "cancel", {lid});
+        EXPECT_FALSE(cancelled.as_bool()) << "lease " << lease;
+    }
+    // Not even the registrar's own node reaches the permanent one's lease.
+    auto self = base_.runtime.find_object("registrar");
+    EXPECT_FALSE(self->call("renew", {Value{std::int64_t{1}}, Value{std::int64_t{1}}})
+                     .as_dict()
+                     .at("ok")
+                     .as_bool());
+    EXPECT_FALSE(self->call("cancel", {Value{std::int64_t{1}}}).as_bool());
+
+    // Three lease periods later the holder still holds both leases, the
+    // watch still fires, and the permanent registration is still there.
+    sim_.run_for(seconds(6));
+    EXPECT_FALSE(reg_lost);
+    EXPECT_FALSE(watch_lost);
+    EXPECT_TRUE(reg->alive());
+    EXPECT_TRUE(watch->alive());
+    EXPECT_EQ(registrar_->lookup("svc").size(), 1u);
+    EXPECT_EQ(registrar_->lookup("infra").size(), 1u);
+    std::shared_ptr<LeasedResource> second;
+    client_->register_service(base_.id, "svc", {}, []() {},
+                              [&](std::shared_ptr<LeasedResource> h, std::exception_ptr) {
+                                  second = std::move(h);
+                              });
+    sim_.run_for(seconds(1));
+    EXPECT_EQ(appeared, 2);
+
+    // The holder itself can still give its lease up.
+    reg->cancel();
+    sim_.run_for(seconds(1));
+    EXPECT_EQ(registrar_->lookup("svc").size(), 1u);
 }
 
 TEST_F(DiscoTest, LocalWatchSeesAppearAndExpire) {
