@@ -128,9 +128,9 @@ FleetNumbers run_fleet(int n, int cell_size) {
     sim::Simulator sim;
     net::Network net{sim, net::NetworkConfig{}, 4242};
 
-    // One probe at power-on is enough here; at fleet scale the periodic
-    // probe broadcast is itself a control-plane storm (registrar beacons
-    // keep liveness fresh without it — see NodeStack).
+    // Nodes probe at power-on and stop once their cell's registrar answers
+    // whatever the period. The stretch spaces the loss check, which this
+    // fleet never needs: one timer event per node per half-second saved.
     disco::DiscoveryConfig quiet;
     quiet.probe_period = seconds(3600);
 

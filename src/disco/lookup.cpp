@@ -124,10 +124,14 @@ DiscoveryClient::DiscoveryClient(net::MessageRouter& router, rt::RpcEndpoint& rp
                                  DiscoveryConfig config)
     : router_(router), rpc_(rpc), config_(config) {
     router_.route("disco.here", [this](const net::Message& msg) { note_registrar(msg.from); });
-    probe_timer_ =
-        router_.simulator().schedule_every(config_.probe_period, [this]() { probe(); });
     timeout_timer_ = router_.simulator().schedule_every(config_.probe_period,
                                                         [this]() { check_timeouts(); });
+    start_probing();
+}
+
+void DiscoveryClient::start_probing() {
+    probe_timer_ =
+        router_.simulator().schedule_every(config_.probe_period, [this]() { probe(); });
     probe();
 }
 
@@ -141,6 +145,8 @@ void DiscoveryClient::probe() { router_.broadcast("disco.probe", {}); }
 
 void DiscoveryClient::note_registrar(NodeId node) {
     bool fresh = !last_seen_.contains(node);
+    // Found: stop asking and listen. The registrar beacons on its own.
+    if (last_seen_.empty()) router_.simulator().cancel(probe_timer_);
     last_seen_[node] = router_.simulator().now();
     if (fresh) {
         log_debug(router_.simulator().now(), "disco.lookup",
@@ -164,6 +170,8 @@ void DiscoveryClient::check_timeouts() {
         auto watchers = registrar_watchers_;
         for (auto& [_, fn] : watchers) fn(node, false);
     }
+    // Nothing left to listen to (a walk-out, a base crash): ask again.
+    if (!lost.empty() && last_seen_.empty()) start_probing();
 }
 
 std::vector<NodeId> DiscoveryClient::registrars() const {

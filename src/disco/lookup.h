@@ -2,13 +2,21 @@
 // leased remote watches.
 //
 // Every node that participates in a proactive environment runs a
-// DiscoveryClient. It notices registrars coming into and out of radio range
-// (probe/beacon), keeps service registrations alive by renewing their
-// leases, and maintains watches whose events arrive as remote calls on a
-// locally exported listener object. When renewal stops succeeding — the
-// node left the space, or the base died — the holder is told the lease was
-// lost; that signal is what MIDAS turns into autonomous extension
-// withdrawal.
+// DiscoveryClient. It notices registrars coming into and out of radio range,
+// keeps service registrations alive by renewing their leases, and maintains
+// watches whose events arrive as remote calls on a locally exported listener
+// object. When renewal stops succeeding — the node left the space, or the
+// base died — the holder is told the lease was lost; that signal is what
+// MIDAS turns into autonomous extension withdrawal.
+//
+// Discovery is find-then-listen, as in Jini: the client broadcasts
+// "disco.probe" only while it knows no registrar (at start-up, and again
+// once every known registrar has been declared lost). While it knows one it
+// sends nothing and keeps liveness from the registrars' own "disco.here"
+// beacons. A roaming node that still hears its old registrar therefore
+// learns of a new one from that registrar's next beacon: at most one
+// RegistrarConfig::announce_period after it comes into range, on a radio
+// that delivers the beacon.
 #pragma once
 
 #include <functional>
@@ -20,6 +28,8 @@
 namespace pmp::disco {
 
 struct DiscoveryConfig {
+    /// Spacing of "disco.probe" broadcasts while no registrar is known, and
+    /// of the loss check. The first probe goes out at once.
     Duration probe_period = milliseconds(500);
     Duration registrar_timeout = seconds(3);  ///< silence before "lost"
     Duration lease_duration = seconds(2);     ///< requested for registrations/watches
@@ -118,6 +128,8 @@ public:
 
 private:
     void probe();
+    /// Probe now and every probe_period until a registrar answers.
+    void start_probing();
     void check_timeouts();
     void note_registrar(NodeId node);
     std::string make_listener(EventFn on_event);
@@ -131,7 +143,7 @@ private:
     std::uint64_t next_token_ = 0;
     std::uint64_t next_listener_ = 0;
 
-    sim::TimerId probe_timer_;
+    sim::TimerId probe_timer_;  ///< live only while no registrar is known
     sim::TimerId timeout_timer_;
 };
 

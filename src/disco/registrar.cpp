@@ -111,7 +111,8 @@ Value Registrar::do_register(NodeId provider, const std::string& type, Dict attr
     Registration reg;
     reg.item = ServiceItem{service_ids_.next(), provider, type, std::move(attrs)};
     reg.lease = lease_ids_.next();
-    reg.expires = router_.simulator().now() + granted;
+    reg.refreshed = router_.simulator().now();
+    reg.expires = reg.refreshed + granted;
     ServiceId sid = reg.item.id;
     LeaseId lease = reg.lease;
     ServiceItem item = reg.item;
@@ -133,11 +134,15 @@ Value Registrar::do_register(NodeId provider, const std::string& type, Dict attr
 Value Registrar::do_renew(NodeId holder, std::uint64_t lease, std::int64_t duration_ms) {
     if (!holder.valid()) holder = router_.self();
     Duration granted = clamp(duration_ms);
+    SimTime now = router_.simulator().now();
     SimTime* expires = nullptr;
     LeaseId lid{lease};
     if (auto it = service_by_lease_.find(lid); it != service_by_lease_.end()) {
         Registration& reg = services_.at(it->second);
-        if (reg.item.provider == holder) expires = &reg.expires;
+        if (reg.item.provider == holder) {
+            expires = &reg.expires;
+            reg.refreshed = now;
+        }
     } else if (auto wit = remote_watches_.find(lid); wit != remote_watches_.end()) {
         if (wit->second.watcher == holder) expires = &wit->second.expires;
     }
@@ -147,7 +152,7 @@ Value Registrar::do_renew(NodeId holder, std::uint64_t lease, std::int64_t durat
         Dict out{{"ok", Value{false}}, {"duration_ms", Value{std::int64_t{0}}}};
         return Value{std::move(out)};
     }
-    *expires = router_.simulator().now() + granted;
+    *expires = now + granted;
     Dict out{{"ok", Value{true}},
              {"duration_ms",
               Value{static_cast<std::int64_t>(granted.count() / 1'000'000)}}};
@@ -227,12 +232,18 @@ ServiceId Registrar::register_permanent(const std::string& type, rt::Dict attrib
     // is never indexed: no renew or cancel can reach it.
     reg.lease = lease_ids_.next();
     reg.expires = SimTime::max();
+    reg.refreshed = router_.simulator().now();
     ServiceId sid = reg.item.id;
     ServiceItem item = reg.item;
     index_add(reg);
     services_.emplace(sid, std::move(reg));
     notify_watchers(item, true);
     return sid;
+}
+
+bool Registrar::refreshed_since(ServiceId id, SimTime t) const {
+    auto it = services_.find(id);
+    return it != services_.end() && it->second.refreshed > t;
 }
 
 std::vector<ServiceItem> Registrar::lookup(const std::string& type) const {

@@ -89,11 +89,16 @@ public:
 
     std::size_t registration_count() const { return services_.size(); }
 
+    /// True if `id` was registered, or its lease renewed, after `t`: fresh
+    /// evidence that its provider has been alive and in range since then.
+    bool refreshed_since(ServiceId id, SimTime t) const;
+
 private:
     struct Registration {
         ServiceItem item;
         LeaseId lease;
         SimTime expires;
+        SimTime refreshed;  ///< last grant or renewal
     };
     struct RemoteWatch {
         std::string type;

@@ -280,9 +280,19 @@ void ExtensionBase::on_service(const disco::ServiceItem& item, bool appeared) {
     if (appeared) {
         adapt_node(item.provider, label,
                    cell_v && cell_v->is_str() ? cell_v->as_str() : "");
+        return;
     }
-    // Disappearance needs no action: keep-alives to the node will start
-    // failing and drop_node() takes over — the same path as a crash.
+    // Disappearance needs no action for an adapted node: keep-alives to it
+    // will start failing and drop_node() takes over — the same path as a
+    // crash. A dropped node's record is only needed while a registration
+    // from before its drop remains to be judged.
+    if (dropped_at_.contains(item.provider)) {
+        bool remains = false;
+        registrar_.for_each("midas.adaptation", [&](const disco::ServiceItem& other) {
+            remains = remains || other.provider == item.provider;
+        });
+        if (!remains) dropped_at_.erase(item.provider);
+    }
 }
 
 void ExtensionBase::adapt_node(NodeId node, const std::string& label,
@@ -294,6 +304,7 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
     entry.since = now;
     auto [it, fresh] = adapted_.emplace(node, std::move(entry));
     it->second.failures = 0;
+    dropped_at_.erase(node);
     if (!cell.empty()) {
         it->second.cell = cell;
         if (auto cit = cells_.find(cell); cit != cells_.end()) {
@@ -319,10 +330,8 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
         journal(BaseDurableState::rec_adapt(node.value, label, it->second.since));
         sim::FailPoints::hit(config_.issuer, "adapt.recorded");
     }
-    for (const auto& [name, _] : policy_) {
-        std::set<std::string> visiting;
-        install_on(node, name, visiting);
-    }
+    std::set<std::string> visiting;
+    for (const auto& [name, _] : policy_) install_on(node, name, visiting);
     if (on_adapt_) on_adapt_(it->second);
 }
 
@@ -386,8 +395,15 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
     if (!visiting.insert(name).second) return;  // dependency cycle guard
 
     // Implicit prerequisites first (paper: adding access control
-    // automatically adds session management).
+    // automatically adds session management) — unless the node already
+    // holds one or it is on the air: a retry of the implying extension
+    // must not re-send them.
     for (const std::string& implied : policy_it->second.pkg.implies) {
+        if (auto a = adapted_.find(node); a != adapted_.end()) {
+            if (a->second.installed.contains(implied)) continue;
+            auto rs = a->second.retry.find(implied);
+            if (rs != a->second.retry.end() && rs->second.in_flight) continue;
+        }
         install_on(node, implied, visiting);
     }
 
@@ -519,18 +535,24 @@ Duration ExtensionBase::install_backoff_for(int attempts) {
 void ExtensionBase::keepalive_tick() {
     std::int64_t lease_ms = config_.extension_lease.count() / 1'000'000;
     SimTime now = rpc_.router().simulator().now();
-    // Re-adopt orphans the registrar still vouches for. A radio burst can
-    // eat enough keep-alives to drop a perfectly healthy node, and no new
+    const std::uint64_t round = ++keepalive_round_;
+    // Re-adopt orphans the registrar vouches for. A radio burst can eat
+    // enough keep-alives to drop a perfectly healthy node, and no new
     // appearance edge will ever fire for it while its service registration
-    // stays continuously renewed — drop_node() would orphan it forever. A
-    // live registration is positive evidence the node is up and in range,
-    // so adoption is safe; a genuinely dead node stops renewing and falls
-    // out of lookup() within its registrar lease. for_each iterates the
+    // stays continuously renewed — drop_node() would orphan it forever. But
+    // only a registration granted or renewed *after* the drop is evidence
+    // the node is still up and in range: one that has merely not lapsed
+    // yet is what a node that walked out leaves behind, and adopting on it
+    // pushes a full set of installs into the void. for_each iterates the
     // type index in place: the old lookup() built a vector of ServiceItems
     // (attribute dicts and all) per tick — O(cell) allocations every
     // period even when nothing changed.
     registrar_.for_each("midas.adaptation", [this](const disco::ServiceItem& item) {
         if (adapted_.contains(item.provider)) return;
+        if (auto d = dropped_at_.find(item.provider);
+            d != dropped_at_.end() && !registrar_.refreshed_since(item.id, d->second)) {
+            return;
+        }
         const Value* label_v = item.attributes.find("node");
         const Value* cell_v = item.attributes.find("cell");
         adapt_node(item.provider,
@@ -572,8 +594,8 @@ void ExtensionBase::keepalive_tick() {
                 {Value{static_cast<std::int64_t>(ext)}, Value{lease_ms},
                  Value{static_cast<std::int64_t>(epoch_)}},
                 rt::CallOptions{.timeout = config_.keepalive_period},
-                [this, node_id, name](Value result, std::exception_ptr error,
-                                      bool transport) {
+                [this, node_id, name, round](Value result, std::exception_ptr error,
+                                             bool transport) {
                     auto it = adapted_.find(node_id);
                     if (it == adapted_.end()) return;
                     if (error) {
@@ -585,8 +607,7 @@ void ExtensionBase::keepalive_tick() {
                             overloaded = true;
                         } catch (...) {
                         }
-                        breaker_.on_failure(node_id, transport || overloaded);
-                        if (++it->second.failures > config_.max_keepalive_failures) {
+                        if (note_failure(it->second, round, transport || overloaded)) {
                             drop_node(node_id);
                         }
                         return;
@@ -881,14 +902,15 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
             case cellproto::kShed:
             case cellproto::kError:
                 keepalive_failures_c_.inc();
-                breaker_.on_failure(node, code != cellproto::kError);
                 // kError is the relay relaying a non-transport install
                 // verdict — the only cell status that judges the package.
                 if (code == cellproto::kError && rollout_ &&
                     rollout_->selects_canary(name, a.label)) {
                     rollout_->note_install_error(name, a.label, false, false);
                 }
-                if (++a.failures > config_.max_keepalive_failures) drop_node(node);
+                if (note_failure(a, keepalive_round_, code != cellproto::kError)) {
+                    drop_node(node);
+                }
                 break;
             default:
                 break;
@@ -939,10 +961,18 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
     }
 }
 
+bool ExtensionBase::note_failure(AdaptedNode& a, std::uint64_t round, bool transport) {
+    if (a.failed_round == round) return false;
+    a.failed_round = round;
+    breaker_.on_failure(a.node, transport);
+    return ++a.failures > config_.max_keepalive_failures;
+}
+
 void ExtensionBase::drop_node(NodeId node) {
     auto it = adapted_.find(node);
     if (it == adapted_.end()) return;
     nodes_dropped_c_.inc();
+    dropped_at_[node] = rpc_.router().simulator().now();
     breaker_.forget(node);
     cell_forget(it->second);
     std::string label = it->second.label;

@@ -32,8 +32,11 @@ struct BaseConfig {
     std::string issuer;                       ///< signing identity, e.g. "hall-a"
     Duration extension_lease = seconds(2);    ///< lease requested per install
     Duration keepalive_period = milliseconds(800);
-    int max_keepalive_failures = 2;           ///< consecutive failures before
-                                              ///< the node is considered gone
+    int max_keepalive_failures = 2;           ///< consecutive failed keep-alive
+                                              ///< rounds before the node is
+                                              ///< considered gone (a round with
+                                              ///< several failed replies counts
+                                              ///< once)
     /// Install retries back off exponentially instead of hammering every
     /// keep-alive tick: delay doubles from `install_backoff` up to
     /// `install_backoff_max`, with ±`install_backoff_jitter` randomisation
@@ -133,7 +136,8 @@ public:
         std::string label;
         std::map<std::string, std::uint64_t> installed;  // pkg name -> remote ext id
         std::map<std::string, RetryState> retry;
-        int failures = 0;
+        int failures = 0;                ///< consecutive failed keep-alive rounds
+        std::uint64_t failed_round = 0;  ///< last round counted in `failures`
         SimTime since;
         bool recovered = false;  ///< restored from the journal, not yet re-seen
         bool probation = false;  ///< federation claim pending; no traffic yet
@@ -281,11 +285,20 @@ private:
     void process_cell_reply(const std::string& cell, std::uint64_t sent_seq,
                             const rt::Value& reply);
     std::string policy_hash(const std::string& name) const;
-    /// Install `name` (prerequisites first) on an adapted node.
+    /// Install `name` (prerequisites first) on an adapted node. `visiting`
+    /// spans one adapt pass, so a prerequisite shared by several policies
+    /// goes out once; prerequisites already installed or in flight are
+    /// skipped.
     void install_on(NodeId node, const std::string& name,
                     std::set<std::string>& visiting);
     void keepalive_tick();
     Duration install_backoff_for(int attempts);
+    /// Count a failed keep-alive answer toward `a`'s failure ledger and
+    /// breaker, at most once per keep-alive `round`: a node holding three
+    /// extensions that misses one round has failed once, not three times.
+    /// True once the node is past max_keepalive_failures and should be
+    /// dropped.
+    bool note_failure(AdaptedNode& a, std::uint64_t round, bool transport);
     void drop_node(NodeId node);
     void record(const std::string& event, const std::string& node_label,
                 const std::string& extension);
@@ -311,6 +324,13 @@ private:
     std::map<std::string, Policy> policy_;
     std::map<std::string, std::uint32_t> last_version_;
     std::map<NodeId, AdaptedNode> adapted_;
+    /// When drop_node() gave each node up. The orphan scan re-adopts a
+    /// dropped node only on a registration granted or renewed after this:
+    /// one that merely has not lapsed yet is no evidence the node is still
+    /// here. An entry lives until the node is adopted again or no
+    /// registration from before its drop remains.
+    std::map<NodeId, SimTime> dropped_at_;
+    std::uint64_t keepalive_round_ = 0;
     std::map<std::string, CellState> cells_;
     std::vector<Activity> activity_;
 

@@ -23,10 +23,12 @@ namespace pmp::midas {
 /// The stack every node shares.
 class NodeStack {
 public:
-    /// `disco_config` tunes the node's discovery client. Large fleets
-    /// stretch `probe_period`: a probe is a broadcast, and ten thousand
-    /// nodes probing twice a second is a control-plane storm all by itself
-    /// (registrar beacons keep liveness fresh without it).
+    /// `disco_config` tunes the node's discovery client. A client probes
+    /// only until a registrar answers and then listens to its beacons, so
+    /// residents put no probes on the air. `probe_period` also paces the
+    /// client's loss check: fleet benches stretch it, which spares the
+    /// simulator one timer event per node per half-second and makes a lost
+    /// registrar slower to notice.
     NodeStack(net::Network& network, const std::string& label, net::Position pos,
               double range, disco::DiscoveryConfig disco_config = {});
 

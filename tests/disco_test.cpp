@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "disco/lookup.h"
 #include "net/router.h"
@@ -399,6 +400,141 @@ TEST_F(DiscoTest, RenewUnknownLeaseFails) {
     Value reply = mobile_.rpc.call_sync(base_.id, "registrar", "renew",
                                         {Value{9999}, Value{1000}});
     EXPECT_FALSE(reply.as_dict().at("ok").as_bool());
+}
+
+// ---- find-then-listen discovery at hall scale -----------------------------
+
+constexpr std::size_t kResidents = 80;  // past the 64-label cap of per-node metrics
+
+/// Resident i's spot on a 5 m grid whose corner is at (x0, 0).
+net::Position spot(std::size_t i, double x0 = 0) {
+    return {x0 + static_cast<double>(i % 10) * 5.0, static_cast<double>(i / 10) * 5.0};
+}
+
+/// A registrar and kResidents discovery clients in its radio range. A tap
+/// records when each "disco.probe" reaches one chosen node, by sender.
+struct ProbeHall {
+    explicit ProbeHall(std::uint64_t seed = 17)
+        : net(sim, net::NetworkConfig{}, seed), base(net, "base", {0, 0}, 200) {
+        registrar = std::make_unique<Registrar>(base.router, base.rpc);
+        for (std::size_t i = 0; i < kResidents; ++i) {
+            nodes.push_back(std::make_unique<TestNode>(
+                net, std::string("resident").append(std::to_string(i)), spot(i), 200));
+            clients.push_back(
+                std::make_unique<DiscoveryClient>(nodes.back()->router, nodes.back()->rpc));
+        }
+    }
+
+    void tap(NodeId at) {
+        net.set_tap(at, [this](const net::Message& msg) {
+            if (msg.kind == "disco.probe") probes[msg.from].push_back(sim.now());
+        });
+    }
+
+    std::size_t knowing(NodeId registrar_node) const {
+        std::size_t n = 0;
+        for (const auto& c : clients) {
+            auto found = c->registrars();
+            n += std::ranges::find(found, registrar_node) != found.end() ? 1 : 0;
+        }
+        return n;
+    }
+
+    sim::Simulator sim;
+    net::Network net;
+    TestNode base;
+    std::unique_ptr<Registrar> registrar;
+    std::vector<std::unique_ptr<TestNode>> nodes;
+    std::vector<std::unique_ptr<DiscoveryClient>> clients;
+    std::map<NodeId, std::vector<SimTime>> probes;
+};
+
+TEST(FindThenListen, ResidentsThatHearARegistrarSendNoProbes) {
+    ProbeHall h;
+    h.tap(h.base.id);
+    h.sim.run_for(seconds(2));
+    ASSERT_EQ(h.knowing(h.base.id), kResidents);
+    // Each resident probed once, at start-up, and stopped on the answer.
+    ASSERT_EQ(h.probes.size(), kResidents);
+    for (const auto& [_, at] : h.probes) EXPECT_EQ(at.size(), 1u);
+
+    // Twenty seconds of residence: the registrar's beacons keep every
+    // client's view fresh, and nobody asks.
+    h.probes.clear();
+    h.sim.run_for(seconds(20));
+    EXPECT_TRUE(h.probes.empty());
+    EXPECT_EQ(h.knowing(h.base.id), kResidents);
+}
+
+TEST(FindThenListen, ProbingResumesWithinTimeoutAfterBaseCrash) {
+    ProbeHall h;
+    h.tap(h.base.id);
+    h.sim.run_for(seconds(5));
+    h.probes.clear();
+
+    // The lookup service dies; its node stays on the air, so the tap still
+    // hears what the residents send.
+    const SimTime crash = h.sim.now();
+    h.registrar.reset();
+    const DiscoveryConfig dc;
+    const Duration announce = RegistrarConfig{}.announce_period;
+    h.sim.run_until(crash + dc.registrar_timeout + dc.probe_period + milliseconds(10));
+
+    ASSERT_EQ(h.probes.size(), kResidents);
+    for (const auto& [from, at] : h.probes) {
+        // Silent while the last beacon was still fresh; asking again as
+        // soon as the registrar is declared lost.
+        EXPECT_GT(at.front(), crash + dc.registrar_timeout - announce) << from.str();
+    }
+    EXPECT_EQ(h.knowing(h.base.id), 0u);
+}
+
+TEST(FindThenListen, ProbingResumesWithinTimeoutAfterWalkOut) {
+    ProbeHall h;
+    h.sim.run_for(seconds(5));
+    // Everyone walks out to an empty stretch of floor; a bystander there
+    // (no registrar) hears whatever they broadcast.
+    TestNode bystander(h.net, "bystander", {5000, 0}, 200);
+    h.tap(bystander.id);
+    const SimTime left = h.sim.now();
+    for (std::size_t i = 0; i < kResidents; ++i) h.net.move_node(h.nodes[i]->id, spot(i, 5000));
+    const DiscoveryConfig dc;
+    const Duration announce = RegistrarConfig{}.announce_period;
+    h.sim.run_until(left + dc.registrar_timeout + dc.probe_period + milliseconds(10));
+
+    ASSERT_EQ(h.probes.size(), kResidents);
+    for (const auto& [from, at] : h.probes) {
+        EXPECT_GT(at.front(), left + dc.registrar_timeout - announce) << from.str();
+    }
+    // Back in range: the next probe or beacon finds the registrar again.
+    for (std::size_t i = 0; i < kResidents; ++i) h.net.move_node(h.nodes[i]->id, spot(i));
+    h.sim.run_for(dc.probe_period + milliseconds(10));
+    EXPECT_EQ(h.knowing(h.base.id), kResidents);
+}
+
+TEST(FindThenListen, DiscoveryConvergesUnderLossyAnnouncements) {
+    ProbeHall h(23);
+    // Three in ten frames lost, beacons and probe answers included: three
+    // beacons in a row go missing now and then, a client declares the
+    // registrar lost, probes, and finds it again.
+    net::FaultPlan plan;
+    plan.loss = 0.3;
+    h.net.set_fault_plan(plan, 5);
+    h.tap(h.base.id);
+    h.sim.run_for(seconds(60));
+
+    std::size_t probes = 0;
+    for (const auto& [_, at] : h.probes) probes += at.size();
+    // More than the start-up probes: clients did lose the registrar and
+    // asked again. Lifelong probing would have sent 120 per client.
+    EXPECT_GT(probes, kResidents);
+    EXPECT_LT(probes, kResidents * 6);
+
+    SimTime deadline = h.sim.now() + seconds(10);
+    while (h.sim.now() < deadline && h.knowing(h.base.id) < kResidents) {
+        h.sim.run_for(milliseconds(100));
+    }
+    EXPECT_EQ(h.knowing(h.base.id), kResidents);
 }
 
 }  // namespace

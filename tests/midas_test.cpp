@@ -3,6 +3,8 @@
 // implicit prerequisites, and the symmetric peer-to-peer mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "midas/node.h"
 #include "robot/devices.h"
 
@@ -427,6 +429,171 @@ TEST(MidasPeerTest, SymmetricPeersAdaptEachOther) {
     ASSERT_EQ(b.receiver().installed_count(), 1u);
     EXPECT_EQ(a.receiver().installed()[0].issuer, "peer-b");
     EXPECT_EQ(b.receiver().installed()[0].issuer, "peer-a");
+}
+
+// ---- hall scale: installs go where the visitors are -----------------------
+
+constexpr std::size_t kVisitors = 80;  // past the 64-label cap of per-node metrics
+
+/// The Fig 2 policy set: session; access, which implies session; monitor.
+std::vector<ExtensionPackage> fig2_policy() {
+    ExtensionPackage session;
+    session.name = "hall/session";
+    session.script = "fun onEntry() { }";
+    session.bindings = {
+        PackageBinding{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", -10}};
+    ExtensionPackage access;
+    access.name = "hall/access";
+    access.script = "fun onEntry() { }";
+    access.bindings = {
+        PackageBinding{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", 0}};
+    access.implies = {"hall/session"};
+    ExtensionPackage monitor = monitoring_package();
+    monitor.name = "hall/monitor";
+    return {session, access, monitor};
+}
+
+/// One hall base with the Fig 2 policy and kVisitors visitors in range.
+struct BusyHall {
+    explicit BusyHall(disco::DiscoveryConfig visitor_disco = {}) : net(sim, {}, 29) {
+        BaseConfig bc;
+        bc.issuer = "hall";
+        base = std::make_unique<BaseStation>(net, "hall", net::Position{0, 0}, 200.0, bc);
+        base->keys().add_key("hall", to_bytes("k"));
+        for (auto& pkg : fig2_policy()) base->base().add_extension(pkg);
+        for (std::size_t i = 0; i < kVisitors; ++i) {
+            auto v = std::make_unique<MobileNode>(
+                net, std::string("v").append(std::to_string(i)),
+                net::Position{static_cast<double>(i % 10) * 8.0 - 40.0,
+                              static_cast<double>(i / 10) * 8.0 - 40.0},
+                200.0, ReceiverConfig{}, nullptr, visitor_disco);
+            v->trust().trust("hall", to_bytes("k"));
+            v->receiver().allow_capabilities("hall", {"net"});
+            robot::make_motor(v->runtime(), "motor");
+            visitors.push_back(std::move(v));
+        }
+    }
+
+    bool all_hold(std::size_t n) const {
+        return std::ranges::all_of(
+            visitors, [n](const auto& v) { return v->receiver().installed_count() == n; });
+    }
+
+    bool run_until(const std::function<bool()>& pred, Duration timeout = seconds(10)) {
+        SimTime deadline = sim.now() + timeout;
+        while (sim.now() < deadline && !pred()) sim.run_until(sim.now() + milliseconds(100));
+        return pred();
+    }
+
+    /// Cut every visitor -> base frame over [from, until): the base's calls
+    /// still land, their replies and the visitors' lease renewals do not.
+    void cut_replies(SimTime from, SimTime until) {
+        net::PartitionWindow cut;
+        cut.from = from;
+        cut.until = until;
+        for (const auto& v : visitors) cut.side_a.push_back(v->id());
+        cut.side_b = {base->id()};
+        cut.one_way = true;
+        net::FaultPlan plan;
+        plan.partitions = {cut};
+        net.set_fault_plan(plan, 1);
+    }
+
+    sim::Simulator sim;
+    net::Network net;
+    std::unique_ptr<BaseStation> base;
+    std::vector<std::unique_ptr<MobileNode>> visitors;
+};
+
+TEST(HallScale, ImpliedPrerequisiteIsSentOncePerVisitor) {
+    BusyHall h;
+    ASSERT_TRUE(h.run_until([&] { return h.all_hold(3); }));
+    h.sim.run_for(seconds(2));
+    // hall/access implies hall/session: one adapt pass sends session once,
+    // not once for access and again for its own policy entry.
+    EXPECT_EQ(h.base->base().stats().installs_sent, 3u * kVisitors);
+    EXPECT_TRUE(h.all_hold(3));
+
+    // A keep-alive that finds hall/access gone re-sends it alone: the
+    // session it implies is still installed.
+    for (auto& v : h.visitors) {
+        for (const auto& e : v->receiver().installed()) {
+            if (e.name == "hall/access") v->receiver().revoke_local(e.id.value);
+        }
+    }
+    ASSERT_TRUE(h.run_until([&] { return h.all_hold(3); }));
+    h.sim.run_for(seconds(2));
+    EXPECT_EQ(h.base->base().stats().installs_sent, 4u * kVisitors);
+}
+
+TEST(HallScale, OneLostKeepaliveRoundDropsNoVisitor) {
+    BusyHall h;
+    ASSERT_TRUE(h.run_until([&] { return h.all_hold(3); }));
+    h.sim.run_for(seconds(1));
+    const auto before = h.base->base().stats();
+
+    // The base was built at t=0 and ticks every keepalive_period. Lose
+    // every reply of one tick: each visitor holds three extensions, so
+    // that is three failed replies but one failed round.
+    const Duration period = BaseConfig{}.keepalive_period;
+    const SimTime tick =
+        SimTime::zero() + period * ((h.sim.now() - SimTime::zero()) / period + 2);
+    h.cut_replies(tick - period / 8, tick + period / 2);
+    h.sim.run_until(tick + period * 4);
+
+    const auto after = h.base->base().stats();
+    ASSERT_EQ(after.keepalive_failures - before.keepalive_failures, 3u * kVisitors);
+    EXPECT_EQ(after.nodes_dropped, 0u);
+    EXPECT_EQ(h.base->base().adapted_count(), kVisitors);
+    EXPECT_TRUE(h.all_hold(3));
+}
+
+TEST(HallScale, WalkedOutVisitorIsSentNoInstallAfterItsDrop) {
+    // A long registration lease: the hall's registrar still lists every
+    // visitor well after the base has given it up.
+    disco::DiscoveryConfig lingering;
+    lingering.lease_duration = seconds(10);
+    BusyHall h(lingering);
+    ASSERT_TRUE(h.run_until([&] { return h.all_hold(3); }));
+    const auto before = h.base->base().stats();
+
+    for (std::size_t i = 0; i < kVisitors; ++i) {
+        h.visitors[i]->move_to({5000.0 + 10.0 * static_cast<double>(i), 0});
+    }
+    ASSERT_TRUE(h.run_until(
+        [&] { return h.base->registrar().lookup("midas.adaptation").empty(); }, seconds(20)));
+    h.sim.run_for(seconds(2));
+
+    const auto after = h.base->base().stats();
+    // Dropped once each, never re-adopted on a registration that merely
+    // had not lapsed yet, so no install chased anyone out of the door.
+    EXPECT_EQ(after.nodes_dropped - before.nodes_dropped, kVisitors);
+    EXPECT_EQ(after.installs_sent, before.installs_sent);
+    EXPECT_EQ(h.base->base().adapted_count(), 0u);
+}
+
+TEST(HallScale, DroppedVisitorStillRenewingIsReadopted) {
+    disco::DiscoveryConfig lingering;
+    lingering.lease_duration = seconds(10);
+    BusyHall h(lingering);
+    ASSERT_TRUE(h.run_until([&] { return h.all_hold(3); }));
+
+    // Four keep-alive rounds without a reply drop every visitor, although
+    // none has moved. Their registrations survive the cut.
+    const Duration period = BaseConfig{}.keepalive_period;
+    const SimTime from = h.sim.now();
+    h.cut_replies(from, from + period * 4);
+    h.sim.run_until(from + period * 6);  // the last lost reply times out
+    EXPECT_EQ(h.base->base().stats().nodes_dropped, kVisitors);
+
+    // Once the radio heals, the first renewal that lands is fresh evidence:
+    // the orphan scan adopts each visitor again and re-adapts it.
+    ASSERT_TRUE(h.run_until(
+        [&] {
+            return h.base->base().adapted_count() == kVisitors &&
+                   h.all_hold(3);
+        },
+        seconds(15)));
 }
 
 }  // namespace
